@@ -43,6 +43,7 @@ from .ratmap import (
     evaluate,
     polynomial_roots,
     preimages,
+    preimages_batch,
     rational_map,
 )
 from .render import COLORMAPS, ImageSpec, encode_ppm, render_density, write_image

@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
+import numpy as np
+
 from .sphere import INF, SpherePoint, chordal_distance, is_inf
 
 __all__ = [
@@ -21,6 +23,7 @@ __all__ = [
     "polynomial_roots",
     "evaluate",
     "preimages",
+    "preimages_batch",
 ]
 
 # Relative threshold below which a leading coefficient is considered to have
@@ -305,3 +308,227 @@ def preimages(f: RationalMap, z: SpherePoint) -> list[SpherePoint]:
         return [INF] * d
     finite = polynomial_roots(coeffs[: top + 1])
     return _sorted_with_padding(finite, d)
+
+
+# ---------------------------------------------------------------------------
+# row-vectorized preimages
+#
+# numpy's complex multiply, divide and abs round differently from Python's
+# complex type, and near a multiple root one ulp grows to ~1e-7 in the roots.
+# The kernel therefore works on (real, imag) float64 pairs and spells out
+# CPython's own complex arithmetic, one rounding per operation, so every row
+# is the same floating-point computation as the scalar path.
+
+
+def _mul(ar, ai, br, bi):
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _div(ar, ai, br, bi):
+    """CPython's complex quotient: scaled by whichever of b.real, b.imag is
+    larger in magnitude, with no reciprocal."""
+    real_major = np.abs(br) >= np.abs(bi)
+    big = np.where(real_major, br, bi)
+    small = np.where(real_major, bi, br)
+    u = np.where(real_major, ar, ai)
+    v = np.where(real_major, ai, ar)
+    ratio = small / big
+    denom = big + small * ratio
+    t = u * ratio
+    return (u + v * ratio) / denom, np.where(real_major, v - t, t - v) / denom
+
+
+def _horner_rows(cr, ci, xr, xi):
+    """Row r of the ascending coefficients (cr, ci) evaluated at every entry
+    of row r of (xr, xi)."""
+    ar = np.zeros_like(xr)
+    ai = np.zeros_like(xi)
+    for k in range(cr.shape[1] - 1, -1, -1):
+        ar, ai = _mul(ar, ai, xr, xi)
+        ar, ai = ar + cr[:, k, None], ai + ci[:, k, None]
+    return ar, ai
+
+
+def _quadratic_rows(ar, ai, br, bi, cr, ci):
+    """:func:`_quadratic_roots` on every row: the two roots of
+    a z^2 + b z + c as (m, 2) real and imaginary parts."""
+    fr, fi = _mul(*_mul(4.0, 0.0, ar, ai), cr, ci)
+    dr, di = _mul(br, bi, br, bi)
+    disc = np.empty(dr.shape, dtype=complex)
+    disc.real = dr - fr
+    disc.imag = di - fi
+    s = np.sqrt(disc)  # numpy's complex sqrt rounds as cmath.sqrt does
+    # pick the sign that avoids cancellation in b + s
+    plus = br * s.real + bi * s.imag >= 0
+    qr, qi = _mul(
+        -0.5,
+        0.0,
+        np.where(plus, br + s.real, br - s.real),
+        np.where(plus, bi + s.imag, bi - s.imag),
+    )
+    # c == 0: the roots are 0 and -b/a
+    zero_c = (cr == 0) & (ci == 0)
+    r1 = _div(qr, qi, ar, ai)
+    r2 = _div(cr, ci, np.where(zero_c, 1.0, qr), np.where(zero_c, 0.0, qi))
+    r2_zero_c = _div(-br, -bi, ar, ai)
+    first = [np.where(zero_c, 0.0, part) for part in r1]
+    second = [np.where(zero_c, p0, part) for p0, part in zip(r2_zero_c, r2)]
+    return np.stack([first[0], second[0]], axis=1), np.stack([first[1], second[1]], axis=1)
+
+
+def _aberth_sums(xr, xi):
+    """sum over j != i of 1 / (x_i - x_j), for every root i of every row,
+    added in the scalar solver's order (j ascending).
+
+    1 / (x_j - x_i) is exactly -(1 / (x_i - x_j)) in CPython's division, so
+    each pair is divided once.  Coinciding roots use 1e-12 (1 + |x_i|) for
+    their difference, the same from either side.
+    """
+    n = xr.shape[1]
+    terms = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            dr = xr[:, i] - xr[:, j]
+            di = xi[:, i] - xi[:, j]
+            coincide = (dr == 0) & (di == 0)
+            if coincide.any():
+                gap = 1e-12 * (1 + np.hypot(xr[:, i], xi[:, i]))
+                dr = np.where(coincide, gap, dr)
+                tr, ti = _div(1.0, 0.0, dr, di)
+                terms[j, i] = np.where(coincide, tr, -tr), np.where(coincide, ti, -ti)
+            else:
+                tr, ti = _div(1.0, 0.0, dr, di)
+                terms[j, i] = -tr, -ti
+            terms[i, j] = tr, ti
+    acc_r = np.zeros_like(xr)
+    acc_i = np.zeros_like(xi)
+    for i in range(n):
+        for j in range(n):
+            if j != i:
+                acc_r[:, i] += terms[i, j][0]
+                acc_i[:, i] += terms[i, j][1]
+    return acc_r, acc_i
+
+
+def _aberth_rows(cr, ci):
+    """:func:`_aberth_roots` on every row of an (m, n+1) coefficient array at
+    once.  Each row starts from the same points, stops on the same residual
+    test and gets the same Newton polish as the scalar solver; a row leaves
+    the active set the sweep it converges."""
+    m, n = cr.shape[0], cr.shape[1] - 1
+    mr, mi = _div(cr, ci, cr[:, -1:], ci[:, -1:])
+    k = np.arange(1, n + 1, dtype=float)
+    dr, di = _mul(k, 0.0, mr[:, 1:], mi[:, 1:])
+    coeff_mag = np.hypot(mr, mi)
+    radius = 1.0 + coeff_mag[:, :-1].max(axis=1)
+    unit = np.array([cmath.exp(1j * (2 * math.pi * j / n + 0.4)) for j in range(n)])
+    xr, xi = _mul(radius[:, None], 0.0, unit.real, unit.imag)
+
+    def residual_small(mr, mi, mag, x_r, x_i):
+        pr, pi = _horner_rows(mr, mi, x_r, x_i)
+        scale = np.zeros_like(x_r)
+        ax = np.hypot(x_r, x_i)
+        for j in range(n, -1, -1):
+            scale = scale * ax + mag[:, j, None]
+        return np.hypot(pr, pi) <= _RESIDUAL_TOL * np.maximum(scale, 1.0), pr, pi
+
+    # the active rows' working copies; a converged row's roots go back to
+    # (xr, xi) and the row leaves every working array
+    rows = np.arange(m)
+    live = (mr, mi, dr, di, coeff_mag, radius[:, None], xr.copy(), xi.copy())
+    for _ in range(_MAX_SWEEPS):
+        a_mr, a_mi, a_dr, a_di, a_mag, a_rad, x_r, x_i = live
+        small, pr, pi = residual_small(a_mr, a_mi, a_mag, x_r, x_i)
+        done = small.all(axis=1)
+        if done.any():
+            xr[rows[done]], xi[rows[done]] = x_r[done], x_i[done]
+            keep = ~done
+            rows, pr, pi = rows[keep], pr[keep], pi[keep]
+            live = tuple(a[keep] for a in live)
+            a_mr, a_mi, a_dr, a_di, a_mag, a_rad, x_r, x_i = live
+            if rows.size == 0:
+                break
+        dpr, dpi = _horner_rows(a_dr, a_di, x_r, x_i)
+        zero_dp = (dpr == 0) & (dpi == 0)
+        nr, ni = _div(pr, pi, np.where(zero_dp, 1.0, dpr), dpi)
+        acc_r, acc_i = _aberth_sums(x_r, x_i)
+        er, ei = _mul(nr, ni, acc_r, acc_i)
+        er, ei = 1.0 - er, 0.0 - ei
+        zero_denom = (er == 0) & (ei == 0)
+        qr, qi = _div(nr, ni, np.where(zero_denom, 1.0, er), ei)
+        off_r = np.where(zero_dp, a_rad * 1e-6, np.where(zero_denom, nr, qr))
+        off_i = np.where(zero_dp, 0.0, np.where(zero_denom, ni, qi))
+        live = (a_mr, a_mi, a_dr, a_di, a_mag, a_rad, x_r - off_r, x_i - off_i)
+    else:
+        # rows still active ran the whole budget; the last sweep may have
+        # brought them within tolerance
+        a_mr, a_mi, _, _, a_mag, _, x_r, x_i = live
+        small, _, _ = residual_small(a_mr, a_mi, a_mag, x_r, x_i)
+        failed = rows[~small.all(axis=1)]
+        if failed.size:
+            bad = failed[0]
+            raise SolverDivergence((cr[bad] + 1j * ci[bad]).tolist(), _MAX_SWEEPS)
+        xr[rows], xi[rows] = x_r, x_i
+
+    dpr, dpi = _horner_rows(dr, di, xr, xi)
+    zero_dp = (dpr == 0) & (dpi == 0)
+    sr, si = _div(*_horner_rows(mr, mi, xr, xi), np.where(zero_dp, 1.0, dpr), dpi)
+    return np.where(zero_dp, xr, xr - sr), np.where(zero_dp, xi, xi - si)
+
+
+def preimages_batch(
+    f: RationalMap, zs: np.ndarray, at_inf: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`preimages` of N points at once.
+
+    ``zs`` holds the points (entries where ``at_inf`` is set are ignored and
+    stand for the point at infinity).  Returns ``(roots, inf)``, both of
+    shape (N, degree(f)): row n lists the preimages of point n in the same
+    branch order as :func:`preimages`, with ``inf`` marking the entries at
+    infinity (their ``roots`` entry is 0).  Row by row it applies the same
+    degree-drop rule, the same closed forms for degree <= 2 and the same
+    Ehrlich-Aberth iteration above that, with the same floating-point
+    operations, on all rows together; any row that does not converge raises
+    :class:`SolverDivergence`.
+    """
+    zs = np.asarray(zs, dtype=complex).reshape(-1)
+    at_inf = np.asarray(at_inf, dtype=bool).reshape(-1)
+    d = f.degree
+    roots = np.zeros((zs.size, d), dtype=complex)
+    inf = np.ones((zs.size, d), dtype=bool)
+    if at_inf.any():
+        # the fibre over infinity is one fixed list, shared by every such row
+        fibre = preimages(f, INF)
+        roots[at_inf] = [0j if is_inf(w) else w for w in fibre]
+        inf[at_inf] = [is_inf(w) for w in fibre]
+    rows = np.flatnonzero(~at_inf)
+    if rows.size == 0:
+        return roots, inf
+    num = np.array(f._num_padded)
+    den = np.array(f._den_padded)
+    with np.errstate(all="ignore"):
+        pr, pi = _mul(zs.real[rows, None], zs.imag[rows, None], den.real, den.imag)
+        cr, ci = num.real - pr, num.imag - pi
+        mag = np.hypot(cr, ci)
+        above = mag[:, 1:] > (_LEAD_DROP * mag.max(axis=1))[:, None]
+        # effective degree: highest k >= 1 whose coefficient survives the cut
+        # (0, all preimages at infinity, when none does)
+        top = np.where(above.any(axis=1), d - np.argmax(above[:, ::-1], axis=1), 0)
+        for t in np.unique(top[top > 0]).tolist():
+            sel = top == t
+            c_r, c_i = cr[sel, : t + 1], ci[sel, : t + 1]
+            if t == 1:
+                re, im = _div(-c_r[:, :1], -c_i[:, :1], c_r[:, 1:], c_i[:, 1:])
+            elif t == 2:
+                re, im = _quadratic_rows(
+                    c_r[:, 2], c_i[:, 2], c_r[:, 1], c_i[:, 1], c_r[:, 0], c_i[:, 0]
+                )
+            else:
+                re, im = _aberth_rows(c_r, c_i)
+            order = np.lexsort((im, re), axis=1)
+            block = roots[rows[sel], :t]
+            block.real = np.take_along_axis(re, order, axis=1)
+            block.imag = np.take_along_axis(im, order, axis=1)
+            roots[rows[sel], :t] = block
+            inf[rows[sel], :t] = False
+    return roots, inf

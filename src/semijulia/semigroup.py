@@ -10,13 +10,15 @@ rests on.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
-from .ratmap import RationalMap, polynomial_roots
+from .ratmap import RationalMap, evaluate, polynomial_roots
 from .sphere import INF, SpherePoint, chordal_distance, ensure_point, is_inf
 
 __all__ = [
@@ -161,68 +163,100 @@ def sample_branch_block(
 # start-point validation
 
 
-def _fixed_points(f: RationalMap) -> list[SpherePoint]:
-    """Fixed points of f on the sphere (roots of num - z*den, plus infinity
-    when the numerator degree dominates)."""
-    nc = list(f.numerator.coeffs)
-    dc = list(f.denominator.coeffs)
-    size = max(len(nc), len(dc) + 1)
-    coeffs = [0j] * size
-    for k, c in enumerate(nc):
-        coeffs[k] += c
-    for k, c in enumerate(dc):
-        coeffs[k + 1] -= c
-    maxmag = max(abs(c) for c in coeffs)
-    while len(coeffs) > 1 and abs(coeffs[-1]) <= 1e-14 * maxmag:
-        coeffs.pop()
-    pts: list[SpherePoint] = []
-    if len(coeffs) > 1:
-        pts.extend(polynomial_roots(coeffs))
-    if f.numerator.degree > f.denominator.degree:
-        pts.append(INF)
-    return pts
-
-
-def _totally_ramified(f: RationalMap, w: SpherePoint) -> bool:
-    """True when every one of the degree(f) preimages of w equals w.
-
-    Checked algebraically: the preimage polynomial num - w*den must be a
-    constant multiple of (x - w)^degree (coefficientwise within a relative
-    1e-6; root clustering of high multiplicity makes a direct root-based
-    comparison far too blunt).  For w at infinity the condition is a
-    constant denominator.
-    """
+def _fibre_polynomial(f: RationalMap, w: SpherePoint) -> list[complex]:
+    """The d+1 ascending coefficients whose roots are the preimages of w:
+    num - w*den, or den for w at infinity; each leading coefficient that
+    vanishes puts one preimage at infinity."""
     d = f.degree
     if is_inf(w):
-        return f.denominator.degree == 0
-    coeffs = [f._num_padded[k] - w * f._den_padded[k] for k in range(d + 1)]
+        return list(f._den_padded)
+    return [f._num_padded[k] - w * f._den_padded[k] for k in range(d + 1)]
+
+
+def _fibre_within(f: RationalMap, w: SpherePoint, pts: Sequence[SpherePoint]) -> bool:
+    """True when every preimage of w under f lies in pts.
+
+    Checked algebraically: the fibre polynomial must be a constant multiple
+    of prod (x - p)^m_p over the finite points of pts, with the missing
+    degree (preimages at infinity) allowed only when INF is in pts.  Every
+    split of the multiplicities is tried; coefficients must agree within a
+    relative 1e-6 (root clusters of high multiplicity make a root-based
+    comparison far too blunt).
+    """
+    d = f.degree
+    coeffs = _fibre_polynomial(f, w)
     maxmag = max(abs(c) for c in coeffs)
     if maxmag == 0.0:
         return False
-    lead = coeffs[d]
-    if abs(lead) <= 1e-12 * maxmag:
-        return False  # degree drop: some preimage is at infinity, not w
-    # target = lead * (x - w)^d
-    target = [lead * math.comb(d, k) * (-w) ** (d - k) for k in range(d + 1)]
-    tol = 1e-6 * max(maxmag, max(abs(t) for t in target))
-    return all(abs(coeffs[k] - target[k]) <= tol for k in range(d + 1))
+    finite = [p for p in pts if not is_inf(p)]
+    with_inf = len(finite) < len(pts)
+    for mults in itertools.product(range(d + 1), repeat=len(finite)):
+        k = sum(mults)
+        if k > d or (k < d and not with_inf):
+            continue
+        target = [coeffs[k]]
+        for p, m in zip(finite, mults):
+            for _ in range(m):
+                # multiply the ascending coefficient list by (x - p)
+                target = [a - p * b for a, b in zip([0j] + target, target + [0j])]
+        target += [0j] * (d - k)
+        tol = 1e-6 * max(maxmag, max(abs(t) for t in target))
+        if all(abs(c - t) <= tol for c, t in zip(coeffs, target)):
+            return True
+    return False
+
+
+def _totally_ramified(f: RationalMap, w: SpherePoint) -> bool:
+    """True when w has a single preimage under f, of multiplicity degree(f)."""
+    coeffs = _fibre_polynomial(f, w)
+    d = f.degree
+    maxmag = max(abs(c) for c in coeffs)
+    if abs(coeffs[d]) <= 1e-12 * maxmag:
+        return _fibre_within(f, w, [INF])
+    # the only candidate is the mean of the roots
+    return _fibre_within(f, w, [-coeffs[d - 1] / (d * coeffs[d])])
+
+
+def _critical_values(f: RationalMap) -> list[SpherePoint]:
+    """Images of the finite critical points of f (roots of the Wronskian
+    num'*den - num*den') and the image of infinity.  Infinity's image is
+    listed whether or not infinity is critical: it is only a candidate."""
+    num = np.asarray(f.numerator.coeffs)
+    den = np.asarray(f.denominator.coeffs)
+    wronskian = P.polysub(
+        P.polymul(P.polyder(num), den), P.polymul(num, P.polyder(den))
+    ).tolist()
+    maxmag = max(abs(c) for c in wronskian)
+    while len(wronskian) > 1 and abs(wronskian[-1]) <= 1e-14 * maxmag:
+        wronskian.pop()
+    points = polynomial_roots(wronskian) if len(wronskian) > 1 else []
+    return [evaluate(f, c) for c in points] + [evaluate(f, INF)]
 
 
 def exceptional_candidates(sg: Semigroup) -> list[SpherePoint]:
-    """Heuristic scan for points whose total backward orbit is finite:
-    fixed points of some generator at which every generator is totally
-    ramified.  Complete for the common cases (e.g. 0 and infinity for
-    monomial-like generators); not a general decision procedure.
+    """The exceptional set E(G): the points whose backward orbit under the
+    semigroup is finite, decided exactly.
+
+    E(G) lies inside the totally ramified values of any generator g0 of
+    degree >= 2, and there are at most two of those (Riemann-Hurwitz); they
+    are among g0's critical values.  Starting from them, any point with a
+    preimage (under some generator) outside the set is dropped until none
+    is; what remains is backward invariant, hence E(G).
     """
-    pool: list[SpherePoint] = []
-    for g in sg.generators:
-        for w in _fixed_points(g):
-            if all(chordal_distance(w, seen) > 1e-9 for seen in pool):
-                pool.append(w)
+    g0 = next(g for g in sg.generators if g.degree >= 2)
     out: list[SpherePoint] = []
-    for w in pool:
-        if all(_totally_ramified(g, w) for g in sg.generators):
-            out.append(w)
+    for v in _critical_values(g0):
+        if _totally_ramified(g0, v) and all(
+            chordal_distance(v, seen) > 1e-9 for seen in out
+        ):
+            out.append(v)
+    dropped = True
+    while dropped:
+        keep = [
+            w for w in out if all(_fibre_within(g, w, out) for g in sg.generators)
+        ]
+        dropped = len(keep) < len(out)
+        out = keep
     return out
 
 
@@ -239,9 +273,9 @@ class AssumptionsReport:
     def as_text(self) -> str:
         lines = [
             f"degree >= 2 generator present: {'PASS' if self.has_degree_two_generator else 'FAIL'}",
-            f"exceptional-point candidates: {list(self.candidates)!r}",
+            f"exceptional set: {list(self.candidates)!r}",
             f"start point {self.start!r} exceptional: "
-            + ("YES" if self.start_is_exceptional else "no (heuristic scan)"),
+            + ("YES" if self.start_is_exceptional else "no"),
         ]
         for item in self.unverified:
             lines.append(f"UNVERIFIED (user-asserted): {item}")
@@ -257,7 +291,7 @@ _UNVERIFIED = (
 def validate_assumptions(sg: Semigroup, start: SpherePoint) -> AssumptionsReport:
     """Check what is decidable about the standing assumptions and the start
     point; raises :class:`ExceptionalStartPoint` if the start is within
-    chordal 1e-9 of a candidate exceptional point (its backward orbit would
+    chordal 1e-9 of a point of the exceptional set (its backward orbit would
     be trapped forever)."""
     start = ensure_point(start)
     candidates = exceptional_candidates(sg)
@@ -271,7 +305,7 @@ def validate_assumptions(sg: Semigroup, start: SpherePoint) -> AssumptionsReport
     )
     if hit:
         raise ExceptionalStartPoint(
-            f"start point {start!r} matches an exceptional-point candidate "
-            f"(candidates: {list(candidates)!r}); backward orbits from it are trapped"
+            f"start point {start!r} lies in the exceptional set "
+            f"{list(candidates)!r}; backward orbits from it are trapped"
         )
     return report

@@ -273,7 +273,7 @@ def test_markov_surrogate_cell_frequencies():
 
 def test_cesaro_average_of_re_vanishes_on_circle():
     orbit = random_backward_orbit(square_sg(), 1, 1_000_000, seed=2024)
-    avg = cesaro_average(orbit, lambda z: z.real)
+    avg = cesaro_average(orbit, lambda zs, at_inf: zs.real)
     assert abs(avg) <= 0.01
 
 

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import semijulia
 from semijulia.cli import ConfigError, execute_run, main, parse_config
 from semijulia.measure import grid_from_text
 
@@ -248,3 +253,21 @@ def test_main_verify_fast_subset(capsys):
 def test_main_verify_unknown_name(capsys):
     assert main(["verify", "--only", "zzz-not-a-criterion"]) == 1
     assert "no criteria match" in capsys.readouterr().out
+
+
+def test_python_dash_m_runs_without_runpy_warning():
+    # ``python -m semijulia.cli`` warns that semijulia.cli was imported
+    # before it ran; the package's __main__ must not
+    env = dict(os.environ)
+    src = str(Path(semijulia.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "semijulia", "verify", "--only", "circle-decay"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "PASS circle-decay" in proc.stdout
+    assert "RuntimeWarning" not in proc.stderr

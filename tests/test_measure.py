@@ -10,6 +10,7 @@ from semijulia.backward import (
     WeightedPointCloud,
     full_backward_tree,
     random_backward_orbit,
+    run_chains,
 )
 from semijulia.measure import (
     EmptySet,
@@ -30,8 +31,8 @@ from semijulia.measure import (
     min_distances,
     total_variation,
 )
-from semijulia.ratmap import rational_map
-from semijulia.semigroup import ProbabilityVector, Semigroup
+from semijulia.ratmap import preimages, rational_map
+from semijulia.semigroup import ProbabilityVector, Semigroup, make_rng
 from semijulia.sphere import INF, chordal_distance
 
 
@@ -237,31 +238,37 @@ def test_distance_decay_profile_empty_reference():
 # transfer operator
 
 
+def re_part(zs, at_inf):
+    return zs.real
+
+
 def test_transfer_operator_modulus_squared():
-    value = apply_transfer_operator(square_sg(), lambda z: abs(z) ** 2, 1 + 0j)
-    assert value == pytest.approx(1.0, abs=1e-12)
+    value = apply_transfer_operator(
+        square_sg(), lambda zs, at_inf: np.abs(zs) ** 2, [1 + 0j], [False]
+    )
+    assert value[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_transfer_operator_odd_function_cancels():
-    value = apply_transfer_operator(square_sg(), lambda z: z.real, 1 + 0j)
-    assert value == pytest.approx(0.0, abs=1e-12)
+    value = apply_transfer_operator(square_sg(), re_part, [1 + 0j], [False])
+    assert value[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_transfer_operator_two_generators():
-    value = apply_transfer_operator(annulus_sg(), lambda z: z.real, 1 + 0j)
-    assert value == pytest.approx(0.0, abs=1e-12)
+    value = apply_transfer_operator(annulus_sg(), re_part, [1 + 0j], [False])
+    assert value[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_invariance_of_regular_polygon():
     pts = [cmath.exp(2j * math.pi * k / 360) for k in range(360)]
     polygon = cloud(pts)
-    report = check_invariance(square_sg(), polygon, [("re", lambda z: z.real)])
+    report = check_invariance(square_sg(), polygon, [("re", re_part)])
     assert report["re"] <= 1e-12
 
 
 def test_invariance_detects_point_mass():
     atom = cloud([1 + 0j], [1.0])
-    report = check_invariance(square_sg(), atom, [("re", lambda z: z.real)])
+    report = check_invariance(square_sg(), atom, [("re", re_part)])
     assert report["re"] == pytest.approx(1.0, abs=1e-12)
 
 
@@ -280,10 +287,98 @@ def test_invariance_subsampling_agrees_with_exact():
 
 
 def test_default_test_functions_are_total():
+    # 0, 3+4i, INF (its zs entry is ignored) and 1e200
+    zs = np.array([0j, 3 + 4j, 0j, 1e200 + 0j])
+    at_inf = np.array([False, False, True, False])
     for _, phi in default_test_functions():
-        for z in (0j, 3 + 4j, INF, 1e200 + 0j):
-            v = phi(z)
-            assert math.isfinite(v)
+        v = phi(zs, at_inf)
+        assert np.all(np.isfinite(v))
+
+
+# ---------------------------------------------------------------------------
+# check_invariance against the scalar per-atom loop it replaced (oracle)
+
+
+def scalar_test_functions():
+    """default_test_functions() as scalar functions of one sphere point."""
+
+    def re(z):
+        return 0.0 if z is INF else z.real
+
+    def im(z):
+        return 0.0 if z is INF else z.imag
+
+    def modulus_ratio(z):
+        if z is INF or abs(z) > 1e150:
+            return 1.0
+        r2 = abs(z) * abs(z)
+        return r2 / (1.0 + r2)
+
+    def bump(center):
+        return lambda z: math.exp(-((chordal_distance(z, center) / 0.75) ** 2))
+
+    return [
+        ("re", re),
+        ("im", im),
+        ("modulus_ratio", modulus_ratio),
+        ("bump@1+0j", bump(1 + 0j)),
+        ("bump@-1+0j", bump(-1 + 0j)),
+    ]
+
+
+def scalar_check_invariance(sg, cloud, phis, rng=None, max_atoms=200_000):
+    n = len(cloud.points)
+    total = cloud.total_mass
+    if rng is not None and n > max_atoms:
+        idx = rng.choice(n, size=max_atoms, p=cloud.masses / total)
+        points = [cloud.points[i] for i in idx]
+        weights = np.full(max_atoms, total / max_atoms)
+    else:
+        points, weights = cloud.points, cloud.masses
+    acc = {name: 0.0 for name, _ in phis}
+    for z, w in zip(points, weights):
+        pres = [preimages(g, z) for g in sg.generators]
+        for name, phi in phis:
+            t = 0.0
+            for j, g in enumerate(sg.generators):
+                for p in pres[j]:
+                    t += sg.b.weights[j] / g.degree * phi(p)
+            acc[name] += w * (t - phi(z))
+    return {name: abs(v) / total for name, v in acc.items()}
+
+
+def assert_invariance_matches_oracle(sg, c, **subsample):
+    seed = subsample.pop("seed", None)
+    rng = (lambda: make_rng(seed)) if seed is not None else (lambda: None)
+    got = check_invariance(sg, c, default_test_functions(), rng(), **subsample)
+    want = scalar_check_invariance(sg, c, scalar_test_functions(), rng(), **subsample)
+    assert list(got) == list(want)
+    for name in want:
+        assert abs(got[name] - want[name]) <= 1e-12, name
+
+
+def test_invariance_matches_oracle_on_annulus_chain():
+    c = run_chains(annulus_sg(), 1, 3_000, 2, burn_in=100, seeds=[5, 6])
+    assert_invariance_matches_oracle(annulus_sg(), c)
+    # the subsample is the same draw from the same generator stream
+    assert_invariance_matches_oracle(annulus_sg(), c, seed=11, max_atoms=2_000)
+
+
+def test_invariance_matches_oracle_on_cubic_rational_chain():
+    sg = Semigroup(
+        (rational_map([0.3, 0, 0, 1]), rational_map([0.5, 0, 1], [0, 1.5])),
+        ProbabilityVector([0.5, 0.5]),
+    )
+    c = run_chains(sg, 0.4 + 0.3j, 1_500, 2, burn_in=100, seeds=[7, 8])
+    assert_invariance_matches_oracle(sg, c)
+
+
+def test_invariance_matches_oracle_with_atoms_at_infinity_and_degree_drop():
+    # (z^2+1)/(z^2+2) sends both preimages of 1 to infinity, and the
+    # preimages of infinity are the denominator roots
+    sg = Semigroup((rational_map([1, 0, 1], [2, 0, 1]),))
+    c = cloud([INF, 1 + 0j, 0.3 + 0.2j, -2j, INF], [0.3, 0.2, 0.2, 0.2, 0.1])
+    assert_invariance_matches_oracle(sg, c)
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +432,7 @@ def test_grid_from_text_rejects_garbage():
 
 def test_cesaro_average_simple():
     orbit = random_backward_orbit(square_sg(), 1, 50, seed=2)
-    avg = cesaro_average(orbit, lambda z: abs(z))
+    avg = cesaro_average(orbit, lambda zs, at_inf: np.abs(zs))
     assert avg == pytest.approx(1.0, abs=1e-9)
 
 

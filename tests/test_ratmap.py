@@ -1,5 +1,7 @@
 import cmath
+import math
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -11,6 +13,7 @@ from semijulia.ratmap import (
     evaluate,
     polynomial_roots,
     preimages,
+    preimages_batch,
     rational_map,
 )
 from semijulia.sphere import INF, chordal_distance, is_inf
@@ -231,3 +234,85 @@ def test_preimage_of_huge_point_is_chordally_consistent():
     assert len(pre) == 2
     for w in pre:
         assert chordal_distance(evaluate(square(), w), 1e200 + 0j) <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# preimages_batch: the row-vectorized kernel against scalar preimages
+
+
+def batch_rows(f, points):
+    """preimages_batch on a list of sphere points, as lists like preimages'."""
+    zs = np.array([0j if is_inf(p) else complex(p) for p in points])
+    at_inf = np.array([is_inf(p) for p in points])
+    roots, inf = preimages_batch(f, zs, at_inf)
+    assert roots.shape == inf.shape == (len(points), f.degree)
+    return [
+        [INF if inf[n, k] else complex(roots[n, k]) for k in range(f.degree)]
+        for n in range(len(points))
+    ]
+
+
+def assert_same_multiset(a, b, tol):
+    # greedy nearest matching is enough at this tolerance: distinct roots
+    # of one fibre are far apart compared to tol, coincident ones agree
+    left = list(b)
+    for w in a:
+        k = min(range(len(left)), key=lambda i: chordal_distance(w, left[i]))
+        assert chordal_distance(w, left[k]) <= tol, (a, b)
+        left.pop(k)
+
+
+points = st.one_of(coeff.map(lambda z: 3 * z), st.just(INF))
+
+
+@given(random_maps(), st.lists(points, min_size=1, max_size=6))
+def test_batch_rows_match_scalar_preimages(f, zs):
+    for z, row in zip(zs, batch_rows(f, zs)):
+        assert len(row) == f.degree
+        assert_same_multiset(row, preimages(f, z), 1e-12)
+        for w in row:
+            assert chordal_distance(evaluate(f, w), z) <= 1e-9
+
+
+def test_batch_degree_drop_row():
+    f = rational_map([1, 0, 1], [2, 0, 1])  # (z^2+1)/(z^2+2)
+    assert batch_rows(f, [1 + 0j]) == [[INF, INF]] == [preimages(f, 1 + 0j)]
+
+
+def test_batch_row_at_infinity_is_denominator_roots():
+    f = rational_map([1, 0, 1], [2, 0, 1])
+    (row,) = batch_rows(f, [INF])
+    r = math.sqrt(2)
+    assert_same_multiset(row, [complex(0, -r), complex(0, r)], 1e-12)
+    assert row == preimages(f, INF)
+
+
+def test_batch_row_beyond_1e150_matches_scalar():
+    assert batch_rows(square(), [1e200 + 0j]) == [preimages(square(), 1e200 + 0j)]
+
+
+def test_batch_mixed_degrees_and_infinity_in_one_call():
+    # one call mixes full-degree rows, degree-drop rows and infinity
+    f = rational_map([1, 0, 1], [2, 0, 1])
+    pts = [0.3 + 0.1j, 1 + 0j, INF, -2j, 1 + 0j]
+    assert batch_rows(f, pts) == [preimages(f, z) for z in pts]
+
+
+def test_batch_cubic_rows_follow_scalar_branch_order():
+    f = rational_map([0.3, 0, 0, 1])
+    pts = [cmath.rect(0.2 + 0.1 * k, 0.7 * k) for k in range(40)]
+    assert batch_rows(f, pts) == [preimages(f, z) for z in pts]
+
+
+def test_batch_raises_divergence_like_scalar(monkeypatch):
+    # with a two-sweep budget no cubic row converges; both paths report the
+    # same coefficients
+    import semijulia.ratmap as ratmap
+
+    monkeypatch.setattr(ratmap, "_MAX_SWEEPS", 2)
+    f = rational_map([0.3, 0, 0, 1])
+    with pytest.raises(SolverDivergence) as scalar:
+        preimages(f, 0.5 + 0j)
+    with pytest.raises(SolverDivergence) as batch:
+        batch_rows(f, [0.5 + 0j, 1j])
+    assert batch.value.coeffs == scalar.value.coeffs

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from semijulia.backward import random_backward_orbit
 from semijulia.ratmap import rational_map
 from semijulia.semigroup import (
     ExceptionalStartPoint,
@@ -204,13 +205,31 @@ def test_annulus_pair_shares_zero_and_infinity():
         validate_assumptions(sg, 1e-12j)
 
 
+def assert_trapped_on_zero_and_infinity(sg):
+    # the chain from 0, let through unchecked, never leaves {0, INF}
+    orbit = random_backward_orbit(sg, 0, 2_000, seed=3, check_start=False)
+    assert all(z is INF or z == 0 for z in orbit.points)
+    cands = exceptional_candidates(sg)
+    assert len(cands) == 2
+    assert any(c is INF for c in cands)
+    assert any(c is not INF and abs(c) <= 1e-9 for c in cands)
+    with pytest.raises(ExceptionalStartPoint):
+        validate_assumptions(sg, 0)
+
+
 def test_mobius_generator_breaks_total_ramification():
+    # 1/z is not totally ramified anywhere, but it swaps 0 and infinity, so
+    # {0, INF} stays backward invariant under the pair
     sg = Semigroup(
         (monomial(2), rational_map([1], [0, 1])),  # z^2 and 1/z
         ProbabilityVector([0.5, 0.5]),
     )
-    assert exceptional_candidates(sg) == []
-    validate_assumptions(sg, 0)  # no longer trapped
+    assert_trapped_on_zero_and_infinity(sg)
+
+
+def test_inverse_square_exceptional_two_cycle():
+    # 1/z^2 swaps 0 and infinity: neither is fixed, both are exceptional
+    assert_trapped_on_zero_and_infinity(Semigroup((rational_map([1], [0, 0, 1]),)))
 
 
 def test_report_text_mentions_unverified_conditions():
