@@ -12,6 +12,8 @@ converges to the same limit almost surely.
 """
 from __future__ import annotations
 
+import mmap
+import os
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -23,9 +25,10 @@ from .semigroup import (
     Semigroup,
     build_index_distribution,
     make_rng,
+    sample_branch_block,
     validate_assumptions,
 )
-from .sphere import SpherePoint, ensure_point, is_inf
+from .sphere import INF, SpherePoint, ensure_point, is_inf
 
 __all__ = [
     "BudgetExceeded",
@@ -218,12 +221,7 @@ def random_backward_orbit(
         raise ValueError("orbit length must be >= 1")
     if dist is None:
         dist = build_index_distribution(sg)
-    rng = make_rng(seed)
-    u = rng.random(n)
-    cum = np.asarray(dist.cumulative)
-    symbols = np.minimum(
-        np.searchsorted(cum, u, side="right"), len(dist.probabilities) - 1
-    ).tolist()
+    symbols = sample_branch_block(dist, make_rng(seed), n).tolist()
     decode = dist.decode
     gens = sg.generators
     pts: list[SpherePoint] = []
@@ -250,6 +248,73 @@ def empirical_measure(orbit: BackwardOrbit, burn_in: int) -> WeightedPointCloud:
     )
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the platform
+    reports one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _fork_context():
+    """The ``fork`` multiprocessing context, or None where the platform has
+    none or where this process runs other threads (a fork copies their locks
+    in whatever state they hold them).  Imported here, so importing the
+    package does not pay for it."""
+    import multiprocessing
+    import threading
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return None
+    if threading.active_count() > 1:
+        return None
+    return multiprocessing.get_context("fork")
+
+
+@dataclass
+class _ChainJobs:
+    """What every chain of one :func:`run_chains` call shares, and where
+    each writes its tail: row k of ``zs`` / ``at_inf`` belongs to chain
+    ``seeds[k]``.  Both arrays are views of one shared anonymous mapping, so
+    forked workers write straight into the parent's memory."""
+
+    sg: Semigroup
+    start: SpherePoint
+    n: int
+    burn_in: int
+    seeds: list[int]
+    dist: IndexDistribution
+    zs: np.ndarray
+    at_inf: np.ndarray
+
+
+def _run_chain(jobs: _ChainJobs, k: int) -> None:
+    """Chain ``jobs.seeds[k]``: its post-burn-in tail into row k."""
+    orbit = random_backward_orbit(
+        jobs.sg, jobs.start, jobs.n, jobs.seeds[k], dist=jobs.dist, check_start=False
+    )
+    tail = orbit.points[jobs.burn_in :]
+    at_inf = np.fromiter((p is INF for p in tail), dtype=bool, count=len(tail))
+    if at_inf.any():
+        tail = [0j if p is INF else p for p in tail]
+    jobs.zs[k] = tail
+    jobs.at_inf[k] = at_inf
+
+
+# set only inside a worker process, by the pool initializer
+_worker_jobs: _ChainJobs | None = None
+
+
+def _init_worker(jobs: _ChainJobs) -> None:
+    global _worker_jobs
+    _worker_jobs = jobs
+
+
+def _run_chain_in_worker(k: int) -> None:
+    _run_chain(_worker_jobs, k)
+
+
 def run_chains(
     sg: Semigroup,
     start: SpherePoint,
@@ -263,10 +328,17 @@ def run_chains(
     """Average of the empirical measures of independent chains, merged in
     seed order regardless of execution order.  With one chain this is exactly
     :func:`empirical_measure` of that chain.
+
+    The chains run in up to one forked worker process per usable CPU (in
+    this process when there is one CPU, one chain, no ``fork``, or another
+    thread running); each writes its tail into its own rows of one shared
+    buffer.  The result is the same, bit for bit, for any number of CPUs.
     """
     if seeds is None:
         seeds = list(range(n_chains))
     seeds = [int(s) for s in seeds]
+    if n_chains < 1:
+        raise ValueError(f"need at least one chain, got {n_chains}")
     if len(seeds) != n_chains:
         raise ValueError(f"{n_chains} chains need {n_chains} seeds, got {len(seeds)}")
     if len(set(seeds)) != len(seeds):
@@ -274,14 +346,44 @@ def run_chains(
     start = ensure_point(start)
     if check_start:
         validate_assumptions(sg, start)
-    dist = build_index_distribution(sg)
-    points: list[SpherePoint] = []
-    mass_parts: list[np.ndarray] = []
-    for seed in seeds:
-        orbit = random_backward_orbit(
-            sg, start, n_per_chain, seed, dist=dist, check_start=False
-        )
-        cloud = empirical_measure(orbit, burn_in)
-        points.extend(cloud.points)
-        mass_parts.append(cloud.masses / n_chains)
-    return WeightedPointCloud(points=points, masses=np.concatenate(mass_parts))
+    if n_per_chain < 1:
+        raise ValueError("orbit length must be >= 1")
+    if burn_in < 0:
+        raise ValueError("burn_in must be >= 0")
+    if burn_in >= n_per_chain:
+        raise EmptyTail(f"burn_in {burn_in} >= orbit length {n_per_chain}")
+    tail = n_per_chain - burn_in
+    size = n_chains * tail
+    # a complex128 point and a bool at-infinity flag per atom
+    buf = mmap.mmap(-1, size * 17)
+    zs = np.frombuffer(buf, dtype=complex, count=size)
+    at_inf = np.frombuffer(buf, dtype=bool, count=size, offset=zs.nbytes)
+    jobs = _ChainJobs(
+        sg,
+        start,
+        n_per_chain,
+        burn_in,
+        seeds,
+        build_index_distribution(sg),
+        zs.reshape(n_chains, tail),
+        at_inf.reshape(n_chains, tail),
+    )
+    workers = min(n_chains, _usable_cpus())
+    fork = _fork_context() if workers > 1 else None
+    if fork is not None:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(
+            workers, mp_context=fork, initializer=_init_worker, initargs=(jobs,)
+        ) as pool:
+            for _ in pool.map(_run_chain_in_worker, range(n_chains)):
+                pass
+    else:
+        for k in range(n_chains):
+            _run_chain(jobs, k)
+    points: list[SpherePoint] = zs.tolist()
+    for i in np.flatnonzero(at_inf).tolist():
+        points[i] = INF
+    # each chain's empirical_measure masses, divided by the number of chains
+    masses = np.full(size, (1.0 / tail) / n_chains)
+    return WeightedPointCloud(points=points, masses=masses)

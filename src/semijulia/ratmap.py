@@ -31,7 +31,17 @@ __all__ = [
 _LEAD_DROP = 1e-14
 
 _RESIDUAL_TOL = 1e-12
+# Relative backward error below which a root of one polynomial of a map
+# counts as a root of the other as well (a common factor).
+_SHARED_ROOT_TOL = 1e-10
 _MAX_SWEEPS = 500
+
+# A preimage polynomial whose largest coefficient exceeds 2**_RESCALE_EXP is
+# scaled by a power of two down to below it, so that products of two
+# coefficients (b*b - 4ac) stay finite; the roots are unchanged, and so are
+# their bits wherever the unscaled arithmetic did not overflow.
+_RESCALE_EXP = 500
+_RESCALE_ABOVE = 2.0**_RESCALE_EXP
 
 
 class SolverDivergence(RuntimeError):
@@ -39,10 +49,16 @@ class SolverDivergence(RuntimeError):
 
     def __init__(self, coeffs: Sequence[complex], sweeps: int):
         self.coeffs = tuple(coeffs)
+        self.sweeps = sweeps
         super().__init__(
             f"root finder did not converge within {sweeps} sweeps; "
             f"ill-conditioned polynomial with coefficients {list(coeffs)!r}"
         )
+
+    def __reduce__(self):
+        # rebuilt from the constructor's own arguments, so the error survives
+        # the trip back from a worker process with its type and coefficients
+        return type(self), (self.coeffs, self.sweeps)
 
 
 @dataclass(frozen=True)
@@ -78,6 +94,17 @@ def _horner(coeffs: Sequence[complex], z: complex) -> complex:
     for c in reversed(coeffs):
         acc = acc * z + c
     return acc
+
+
+def _backward_error(coeffs: Sequence[complex], z: complex) -> float:
+    """|p(z)| relative to sum_k |c_k| |z|^k: the smallest relative change of
+    the coefficients that makes z an exact root of p."""
+    az = abs(z)
+    scale = 0.0
+    for c in reversed(coeffs):
+        scale = scale * az + abs(c)
+    value = abs(_horner(coeffs, z))
+    return value / scale if scale > 0.0 else 0.0
 
 
 def _quadratic_roots(a: complex, b: complex, c: complex) -> list[complex]:
@@ -193,14 +220,24 @@ class RationalMap:
         if self.degree < 1:
             raise ValueError("rational map must have degree >= 1")
         if dn >= 1 and dd >= 1:
-            nroots = polynomial_roots(self.numerator.coeffs)
-            droots = polynomial_roots(self.denominator.coeffs)
-            for r in nroots:
-                for s in droots:
-                    if chordal_distance(r, s) <= 1e-10:
-                        raise ValueError(
-                            f"numerator and denominator share a root near {r!r}"
-                        )
+            num = self.numerator.coeffs
+            den = self.denominator.coeffs
+            nroots = polynomial_roots(num)
+            droots = polynomial_roots(den)
+            # a root of multiplicity m comes out of the solver as a cluster
+            # about eps**(1/m) wide, too loose for the distance test alone;
+            # so each polynomial is also evaluated at the other's roots, and
+            # at the side with the lower multiplicity, whose roots come out
+            # sharp, its backward error shows the common factor
+            shared = (
+                [r for r in nroots for s in droots if chordal_distance(r, s) <= 1e-10]
+                + [r for r in nroots if _backward_error(den, r) <= _SHARED_ROOT_TOL]
+                + [s for s in droots if _backward_error(num, s) <= _SHARED_ROOT_TOL]
+            )
+            if shared:
+                raise ValueError(
+                    f"numerator and denominator share a root near {shared[0]!r}"
+                )
         pad = self.degree + 1
         nc = list(self.numerator.coeffs) + [0j] * (pad - len(self.numerator.coeffs))
         dc = list(self.denominator.coeffs) + [0j] * (pad - len(self.denominator.coeffs))
@@ -298,6 +335,10 @@ def preimages(f: RationalMap, z: SpherePoint) -> list[SpherePoint]:
     coeffs = [nc[k] - z * dc[k] for k in range(d + 1)]
     top = len(coeffs) - 1
     maxmag = max(abs(c) for c in coeffs)
+    if _RESCALE_ABOVE < maxmag < math.inf:
+        scale = math.ldexp(1.0, _RESCALE_EXP - math.frexp(maxmag)[1])
+        coeffs = [complex(c.real * scale, c.imag * scale) for c in coeffs]
+        maxmag = max(abs(c) for c in coeffs)
     if maxmag == 0.0:
         # cannot happen for a genuine degree >= 1 map; guard for totality
         return [INF] * d
@@ -510,6 +551,13 @@ def preimages_batch(
         pr, pi = _mul(zs.real[rows, None], zs.imag[rows, None], den.real, den.imag)
         cr, ci = num.real - pr, num.imag - pi
         mag = np.hypot(cr, ci)
+        peak = mag.max(axis=1)
+        big = (peak > _RESCALE_ABOVE) & (peak < math.inf)
+        if big.any():
+            scale = np.ldexp(1.0, _RESCALE_EXP - np.frexp(peak[big])[1])[:, None]
+            cr[big] *= scale
+            ci[big] *= scale
+            mag[big] = np.hypot(cr[big], ci[big])
         above = mag[:, 1:] > (_LEAD_DROP * mag.max(axis=1))[:, None]
         # effective degree: highest k >= 1 whose coefficient survives the cut
         # (0, all preimages at infinity, when none does)

@@ -13,9 +13,9 @@ from semijulia.backward import (
     run_chains,
 )
 from semijulia.measure import Viewport, bin_cloud, cesaro_average
-from semijulia.ratmap import evaluate, preimages, rational_map
+from semijulia.ratmap import SolverDivergence, evaluate, preimages, rational_map
 from semijulia.semigroup import ProbabilityVector, Semigroup, build_index_distribution
-from semijulia.sphere import chordal_distance
+from semijulia.sphere import INF, chordal_distance
 
 
 def square_sg():
@@ -241,6 +241,104 @@ def test_merge_order_permutation_bins_identically():
     g2 = bin_cloud(run_chains(sg, 1, 300, 2, burn_in=20, seeds=[9, 5]), vp)
     assert np.array_equal(g1.cells, g2.cells)
     assert g1.outside_mass == g2.outside_mass
+
+
+# ---------------------------------------------------------------------------
+# run_chains across worker processes
+
+
+@pytest.fixture(params=[1, 3], ids=["in-process", "pool"])
+def cpus(request, monkeypatch):
+    """run_chains sees this many usable CPUs.  Returns the CPU count and the
+    list of fork-context lookups, one per call that starts a worker pool."""
+    import semijulia.backward as backward
+
+    lookups = []
+    real = backward._fork_context
+
+    def fork_context():
+        lookups.append(real())
+        return lookups[-1]
+
+    monkeypatch.setattr(backward, "_usable_cpus", lambda: request.param)
+    monkeypatch.setattr(backward, "_fork_context", fork_context)
+    return request.param, lookups
+
+
+def inf_visiting_sg():
+    # (z^2+1)/(z^2+2) sends its poles +-i*sqrt(2) to infinity, and infinity
+    # is a preimage of 1 under it
+    return Semigroup((rational_map([0, 0, 1]), rational_map([1, 0, 1], [2, 0, 1])))
+
+
+@pytest.mark.parametrize(
+    "sg, n, burn_in",
+    [(annulus_sg(), 3_000, 100), (inf_visiting_sg(), 3_000, 0)],
+    ids=["annulus", "visits-infinity"],
+)
+def test_run_chains_equals_seed_ordered_chains(cpus, sg, n, burn_in):
+    seeds = [11, 5, 7]
+    merged = run_chains(sg, 1, n, 3, burn_in=burn_in, seeds=seeds)
+    count, lookups = cpus
+    assert len(lookups) == (count > 1)
+    parts = [
+        empirical_measure(random_backward_orbit(sg, 1, n, seed=s), burn_in)
+        for s in seeds
+    ]
+    expected = [p for c in parts for p in c.points]
+    # repr tells -0.0 from 0.0 and INF from any complex
+    assert repr(merged.points) == repr(expected)
+    masses = np.concatenate([c.masses / len(seeds) for c in parts])
+    assert merged.masses.tobytes() == masses.tobytes()
+    if burn_in == 0:
+        assert any(p is INF for p in merged.points)
+
+
+def test_run_chains_rejects_before_any_chain_runs(cpus):
+    with pytest.raises(EmptyTail):
+        run_chains(annulus_sg(), 1, 50, 3, burn_in=50, seeds=[1, 2, 3])
+    with pytest.raises(ValueError):
+        run_chains(annulus_sg(), 1, 0, 3, burn_in=0, seeds=[1, 2, 3])
+    with pytest.raises(ValueError):
+        run_chains(annulus_sg(), 1, 50, 3, burn_in=-1, seeds=[1, 2, 3])
+    with pytest.raises(ValueError):
+        run_chains(annulus_sg(), 1, 50, 3, burn_in=0, seeds=[1, 1, 2])
+    # no pool is started for a call that fails validation
+    assert cpus[1] == []
+
+
+def test_no_fork_while_other_threads_run():
+    # a fork copies other threads' locks in whatever state they are; the
+    # chains then run in this process
+    import threading
+
+    import semijulia.backward as backward
+
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        assert backward._fork_context() is None
+    finally:
+        release.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+def test_run_chains_reraises_worker_solver_divergence(monkeypatch):
+    # with a two-sweep budget the first cubic preimage of every chain fails
+    # inside its worker; the parent sees the same error type and coefficients
+    import semijulia.backward as backward
+    import semijulia.ratmap as ratmap
+
+    monkeypatch.setattr(backward, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(ratmap, "_MAX_SWEEPS", 2)
+    sg = Semigroup((rational_map([0.3, 0, 0, 1]),))
+    with pytest.raises(SolverDivergence) as scalar:
+        preimages(sg.generators[0], 0.5 + 0j)
+    with pytest.raises(SolverDivergence) as err:
+        run_chains(sg, 0.5, 100, 2, burn_in=10, seeds=[1, 2], check_start=False)
+    assert err.value.coeffs == scalar.value.coeffs
 
 
 # ---------------------------------------------------------------------------

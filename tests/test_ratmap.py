@@ -54,6 +54,23 @@ def test_rational_map_rejects_common_roots():
         rational_map([-1, 0, 1], [-1, 1])  # (z^2-1)/(z-1)
 
 
+@pytest.mark.parametrize(
+    "num, den",
+    [
+        ([0, 1j], [0, 0, 0, 0, 0, 0, 1j]),  # z / z^6
+        ([-1, 1], [1, -6, 15, -20, 15, -6, 1]),  # (z-1) / (z-1)^6
+    ],
+    ids=["z/z^6", "(z-1)/(z-1)^6"],
+)
+def test_rational_map_rejects_root_shared_with_multiple_root(num, den):
+    # the sixfold root comes out of the solver as a cluster about 1e-2 wide,
+    # far outside the 1e-10 distance test; the backward error still sees it
+    with pytest.raises(ValueError, match="share a root"):
+        rational_map(num, den)
+    with pytest.raises(ValueError, match="share a root"):
+        rational_map(den, num)
+
+
 def test_rational_map_rejects_degree_zero():
     with pytest.raises(ValueError):
         rational_map([2], [1])
@@ -229,6 +246,16 @@ def test_solver_divergence_reports_coefficients():
     assert err.coeffs == (1 + 0j, 2 + 0j)
 
 
+def test_solver_divergence_survives_pickling():
+    import pickle
+
+    err = SolverDivergence([1 + 0j, 2j], 500)
+    back = pickle.loads(pickle.dumps(err))
+    assert type(back) is SolverDivergence
+    assert back.coeffs == err.coeffs
+    assert str(back) == str(err)
+
+
 def test_preimage_of_huge_point_is_chordally_consistent():
     pre = preimages(square(), 1e200 + 0j)
     assert len(pre) == 2
@@ -289,6 +316,26 @@ def test_batch_row_at_infinity_is_denominator_roots():
 
 def test_batch_row_beyond_1e150_matches_scalar():
     assert batch_rows(square(), [1e200 + 0j]) == [preimages(square(), 1e200 + 0j)]
+
+
+@pytest.mark.parametrize("z", [1e200 + 0j, 1e300 + 0j])
+@pytest.mark.parametrize(
+    "f",
+    [
+        rational_map([1, 0, 1], [2, 0, 1]),  # (z^2+1)/(z^2+2)
+        rational_map([1, 2, 0, 3, 0, 1j], [1, 1, 0.5]),
+    ],
+    ids=["(z^2+1)/(z^2+2)", "degree-5 rational"],
+)
+def test_preimages_of_huge_point_do_not_overflow(f, z):
+    # b*b - 4ac of the unscaled preimage polynomial overflows to inf here
+    pre = preimages(f, z)
+    assert len(pre) == f.degree
+    finite = [w for w in pre if not is_inf(w)]
+    assert finite and all(math.isfinite(w.real) and math.isfinite(w.imag) for w in finite)
+    for w in pre:
+        assert chordal_distance(evaluate(f, w), z) <= 1e-9
+    assert repr(batch_rows(f, [z])) == repr([pre])
 
 
 def test_batch_mixed_degrees_and_infinity_in_one_call():
