@@ -14,17 +14,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .backward import (
-    BackwardOrbit,
-    EmptyTail,
-    WeightedPointCloud,
-    _expand_level_fast,
-    _expand_level_scalar,
-    _vectorizable,
-)
+from .backward import BackwardOrbit, EmptyTail, WeightedPointCloud, tree_blocks
 from .ratmap import preimages_batch
-from .semigroup import Semigroup, build_index_distribution, validate_assumptions
-from .sphere import INF, SpherePoint, ensure_point, is_inf
+from .semigroup import Semigroup, validate_assumptions
+from .sphere import SpherePoint, ensure_point, is_inf, to_arrays
 
 __all__ = [
     "ViewportMismatch",
@@ -120,26 +113,8 @@ class GridMeasure:
         return float(self.cells.sum()) + self.outside_mass
 
 
-def _split_points(points: Sequence[SpherePoint]) -> tuple[np.ndarray, np.ndarray]:
-    """(complex array with INF entries zeroed, boolean finite mask)."""
-    try:
-        zs = np.asarray(points, dtype=complex)
-        return zs, np.ones(len(points), dtype=bool)
-    except (TypeError, ValueError):
-        pass
-    n = len(points)
-    zs = np.zeros(n, dtype=complex)
-    finite = np.ones(n, dtype=bool)
-    for i, p in enumerate(points):
-        if p is INF:
-            finite[i] = False
-        else:
-            zs[i] = p
-    return zs, finite
-
-
 def _bin_arrays(
-    zs: np.ndarray, finite: np.ndarray, masses: np.ndarray, vp: Viewport
+    zs: np.ndarray, at_inf: np.ndarray, masses: np.ndarray, vp: Viewport
 ) -> tuple[np.ndarray, float]:
     """(cells, overflow mass) of one block of atoms: each atom's mass goes to
     the cell containing its point, summed in atom order; atoms outside the
@@ -147,7 +122,7 @@ def _bin_arrays(
     colf = np.floor((zs.real - vp.x0) / vp.cell_width)
     rowf = np.floor((vp.y_top - zs.imag) / vp.cell_height)
     inside = (
-        finite & (colf >= 0) & (colf < vp.nx) & (rowf >= 0) & (rowf < vp.ny)
+        ~at_inf & (colf >= 0) & (colf < vp.nx) & (rowf >= 0) & (rowf < vp.ny)
     )
     flat = rowf[inside].astype(np.int64) * vp.nx + colf[inside].astype(np.int64)
     cells = np.bincount(flat, weights=masses[inside], minlength=vp.ny * vp.nx)
@@ -158,8 +133,8 @@ def bin_cloud(cloud: WeightedPointCloud, vp: Viewport) -> GridMeasure:
     """Accumulate each atom's mass into the cell containing its point, in
     atom order; atoms outside the viewport or at infinity feed the overflow
     slot."""
-    zs, finite = _split_points(cloud.points)
-    cells, outside = _bin_arrays(zs, finite, cloud.masses, vp)
+    zs, at_inf = to_arrays(cloud.points)
+    cells, outside = _bin_arrays(zs, at_inf, cloud.masses, vp)
     return GridMeasure(viewport=vp, cells=cells, outside_mass=outside)
 
 
@@ -174,57 +149,22 @@ def full_tree_grid(
 ) -> GridMeasure:
     """Bin the full backward tree of the given depth without materializing it.
 
-    Levels are expanded whole while they fit within ``chunk`` points; wider
-    levels are split branch by branch and descended depth-first, streaming
-    each depth-n block straight into the grid.  Live memory stays
+    Each block of :func:`tree_blocks` (levels wider than ``chunk`` points are
+    split per branch) goes straight into the grid, so live memory stays
     O(chunk * d * n) however large d^n grows.  Equals binning the
     materialized tree up to floating-point summation order.
     """
     start = ensure_point(start)
     if check_start:
         validate_assumptions(sg, start)
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
-    d = sg.total_degree
-    dist = build_index_distribution(sg)
-    pi = np.asarray(dist.probabilities)
-    fast = _vectorizable(sg) and not is_inf(start)
     cells = np.zeros((vp.ny, vp.nx))
     outside = 0.0
-
-    def expand(points):
-        if fast:
-            return _expand_level_fast(sg, points)
-        return _expand_level_scalar(sg, points)
-
-    def bin_block(points, masses: np.ndarray) -> None:
-        nonlocal cells, outside
-        if fast:
-            zs, finite = points, np.ones(points.size, dtype=bool)
-        else:
-            zs, finite = _split_points(points)
-        block_cells, block_outside = _bin_arrays(zs, finite, masses, vp)
+    for zs, at_inf, masses in tree_blocks(sg, start, depth, chunk):
+        block_cells, block_outside = _bin_arrays(zs, at_inf, masses, vp)
         cells += block_cells
         outside += block_outside
-
-    init = np.array([complex(start)]) if fast else [start]
-    stack: list[tuple[object, np.ndarray, int]] = [(init, np.array([1.0]), depth)]
-    while stack:
-        points, masses, remaining = stack.pop()
-        if remaining == 0:
-            bin_block(points, masses)
-            continue
-        size = masses.size
-        expanded = expand(points)
-        if size * d <= chunk:
-            new_masses = np.repeat(masses, d) * np.tile(pi, size)
-            stack.append((expanded, new_masses, remaining - 1))
-        else:
-            # split per branch (children of parent p are contiguous, so
-            # branch i across all parents is the stride-d slice at offset i)
-            for i in reversed(range(d)):
-                child = expanded[i::d].copy() if fast else list(expanded[i::d])
-                stack.append((child, masses * pi[i], remaining - 1))
+        # drop the block before the walker expands the next one
+        del zs, at_inf, masses, block_cells
     return GridMeasure(viewport=vp, cells=cells, outside_mass=outside)
 
 
@@ -247,11 +187,11 @@ def total_variation(g1: GridMeasure, g2: GridMeasure) -> float:
 def _embed(points: Sequence[SpherePoint]) -> np.ndarray:
     """Isometric embedding into R^3: chordal distance = Euclidean distance
     between images on the unit sphere."""
-    zs, finite = _split_points(points)
+    zs, at_inf = to_arrays(points)
     x = zs.real
     y = zs.imag
     r2 = x * x + y * y
-    big = ~finite | (r2 > 1e300)
+    big = at_inf | (r2 > 1e300)
     s = 1.0 + np.where(big, 1.0, r2)
     out = np.empty((len(points), 3))
     out[:, 0] = np.where(big, 0.0, 2.0 * x / s)
@@ -430,8 +370,7 @@ def check_invariance(
     if n == 0:
         raise EmptySet("cannot check invariance of an empty cloud")
     total = cloud.total_mass
-    zs, finite = _split_points(cloud.points)
-    at_inf = ~finite
+    zs, at_inf = to_arrays(cloud.points)
     if rng is not None and n > max_atoms:
         p = cloud.masses / total
         idx = rng.choice(n, size=max_atoms, p=p)
@@ -455,8 +394,7 @@ def cesaro_average(orbit: BackwardOrbit, phi: TestFunction, burn_in: int = 0) ->
     pts = orbit.points[burn_in:]
     if not pts:
         raise EmptyTail(f"burn_in {burn_in} >= orbit length {len(orbit.points)}")
-    zs, finite = _split_points(pts)
-    return float(phi(zs, ~finite).sum()) / len(pts)
+    return float(phi(*to_arrays(pts)).sum()) / len(pts)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .sphere import INF, SpherePoint, chordal_distance, is_inf
+from .sphere import INF, SpherePoint, chordal_distance, is_inf, to_arrays
 
 __all__ = [
     "SolverDivergence",
@@ -22,6 +22,7 @@ __all__ = [
     "RationalMap",
     "polynomial_roots",
     "evaluate",
+    "fibre_polynomial",
     "preimages",
     "preimages_batch",
 ]
@@ -83,10 +84,7 @@ class Polynomial:
         return len(self.coeffs) - 1
 
     def __call__(self, z: complex) -> complex:
-        acc = 0j
-        for c in reversed(self.coeffs):
-            acc = acc * z + c
-        return acc
+        return _horner(self.coeffs, z)
 
 
 def _horner(coeffs: Sequence[complex], z: complex) -> complex:
@@ -314,6 +312,33 @@ def _sorted_with_padding(finite: list[complex], degree: int) -> list[SpherePoint
     return out
 
 
+def fibre_polynomial(f: RationalMap, w: SpherePoint) -> list[complex]:
+    """The degree(f)+1 ascending coefficients whose roots are the preimages
+    of w: num - w*den, or den for w at infinity; each leading coefficient
+    that vanishes puts one preimage at infinity.  Where some |num_k - w*den_k|
+    overflows, all come from w and num scaled by one power of two instead."""
+    return list(f._den_padded) if w is INF else _fibre(f, w)[0]
+
+
+def _fibre(f: RationalMap, w: complex) -> tuple[list[complex], float]:
+    """:func:`fibre_polynomial` of a finite w, with its largest |coefficient|."""
+    nc = f._num_padded
+    dc = f._den_padded
+    coeffs = [nc[k] - w * dc[k] for k in range(f.degree + 1)]
+    try:
+        peak = max(map(abs, coeffs))
+    except OverflowError:  # finite parts, modulus beyond the largest double
+        peak = math.inf
+    if peak < math.inf:
+        return coeffs, peak
+    # 2**-e takes every |coefficient| below 2**(_RESCALE_EXP + 3)
+    cmax = max(max(abs(c.real), abs(c.imag)) for c in nc + dc)
+    e = math.frexp(max(abs(w.real), abs(w.imag), 1.0))[1] + math.frexp(cmax)[1] - _RESCALE_EXP
+    ws, *ns = [complex(math.ldexp(c.real, -e), math.ldexp(c.imag, -e)) for c in (w, *nc)]
+    coeffs = [n - ws * c for n, c in zip(ns, dc)]
+    return coeffs, max(map(abs, coeffs))
+
+
 def preimages(f: RationalMap, z: SpherePoint) -> list[SpherePoint]:
     """All degree(f) solutions w of f(w) = z, with multiplicity.
 
@@ -325,17 +350,10 @@ def preimages(f: RationalMap, z: SpherePoint) -> list[SpherePoint]:
     """
     d = f.degree
     if is_inf(z):
-        if f.denominator.degree >= 1:
-            finite = polynomial_roots(f.denominator.coeffs)
-        else:
-            finite = []
-        return _sorted_with_padding(finite, d)
-    nc = f._num_padded
-    dc = f._den_padded
-    coeffs = [nc[k] - z * dc[k] for k in range(d + 1)]
+        return _sorted_with_padding(polynomial_roots(f.denominator.coeffs), d)
+    coeffs, maxmag = _fibre(f, z)
     top = len(coeffs) - 1
-    maxmag = max(abs(c) for c in coeffs)
-    if _RESCALE_ABOVE < maxmag < math.inf:
+    if maxmag > _RESCALE_ABOVE:
         scale = math.ldexp(1.0, _RESCALE_EXP - math.frexp(maxmag)[1])
         coeffs = [complex(c.real * scale, c.imag * scale) for c in coeffs]
         maxmag = max(abs(c) for c in coeffs)
@@ -390,22 +408,34 @@ def _horner_rows(cr, ci, xr, xi):
     return ar, ai
 
 
+def _sqrt(ar, ai):
+    """CPython's ``cmath.sqrt`` on finite input; numpy's complex sqrt is one
+    ulp off it on about half of all pure-imaginary arguments."""
+    ax, ay = np.abs(ar), np.abs(ai)
+    tiny = np.maximum(ax, ay) < np.finfo(float).tiny
+    sx = np.ldexp(ax, 53)
+    s_tiny = np.ldexp(np.sqrt(sx + np.hypot(sx, np.ldexp(ay, 53))), -27)
+    s = np.where(tiny, s_tiny, 2.0 * np.sqrt(ax / 8.0 + np.hypot(ax / 8.0, ay / 8.0)))
+    d = ay / (2.0 * s)
+    zero = (ar == 0) & (ai == 0)
+    re = np.where(zero, 0.0, np.where(ar >= 0, s, d))
+    im = np.where(zero, ai, np.copysign(np.where(ar >= 0, d, s), ai))
+    return re, im
+
+
 def _quadratic_rows(ar, ai, br, bi, cr, ci):
     """:func:`_quadratic_roots` on every row: the two roots of
     a z^2 + b z + c as (m, 2) real and imaginary parts."""
     fr, fi = _mul(*_mul(4.0, 0.0, ar, ai), cr, ci)
     dr, di = _mul(br, bi, br, bi)
-    disc = np.empty(dr.shape, dtype=complex)
-    disc.real = dr - fr
-    disc.imag = di - fi
-    s = np.sqrt(disc)  # numpy's complex sqrt rounds as cmath.sqrt does
+    sr, si = _sqrt(dr - fr, di - fi)
     # pick the sign that avoids cancellation in b + s
-    plus = br * s.real + bi * s.imag >= 0
+    plus = br * sr + bi * si >= 0
     qr, qi = _mul(
         -0.5,
         0.0,
-        np.where(plus, br + s.real, br - s.real),
-        np.where(plus, bi + s.imag, bi - s.imag),
+        np.where(plus, br + sr, br - sr),
+        np.where(plus, bi + si, bi - si),
     )
     # c == 0: the roots are 0 and -b/a
     zero_c = (cr == 0) & (ci == 0)
@@ -539,9 +569,7 @@ def preimages_batch(
     inf = np.ones((zs.size, d), dtype=bool)
     if at_inf.any():
         # the fibre over infinity is one fixed list, shared by every such row
-        fibre = preimages(f, INF)
-        roots[at_inf] = [0j if is_inf(w) else w for w in fibre]
-        inf[at_inf] = [is_inf(w) for w in fibre]
+        roots[at_inf], inf[at_inf] = to_arrays(preimages(f, INF))
     rows = np.flatnonzero(~at_inf)
     if rows.size == 0:
         return roots, inf
@@ -551,8 +579,12 @@ def preimages_batch(
         pr, pi = _mul(zs.real[rows, None], zs.imag[rows, None], den.real, den.imag)
         cr, ci = num.real - pr, num.imag - pi
         mag = np.hypot(cr, ci)
+        # the rare rows where a |coefficient| overflows take the scaled form
+        for r in np.flatnonzero(~(mag < math.inf).all(axis=1)).tolist():
+            c = np.array(fibre_polynomial(f, complex(zs[rows[r]])))
+            cr[r], ci[r], mag[r] = c.real, c.imag, np.hypot(c.real, c.imag)
         peak = mag.max(axis=1)
-        big = (peak > _RESCALE_ABOVE) & (peak < math.inf)
+        big = peak > _RESCALE_ABOVE
         if big.any():
             scale = np.ldexp(1.0, _RESCALE_EXP - np.frexp(peak[big])[1])[:, None]
             cr[big] *= scale

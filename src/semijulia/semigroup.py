@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from .ratmap import RationalMap, evaluate, polynomial_roots
+from .ratmap import RationalMap, evaluate, fibre_polynomial, polynomial_roots
 from .sphere import INF, SpherePoint, chordal_distance, ensure_point, is_inf
 
 __all__ = [
@@ -163,16 +163,6 @@ def sample_branch_block(
 # start-point validation
 
 
-def _fibre_polynomial(f: RationalMap, w: SpherePoint) -> list[complex]:
-    """The d+1 ascending coefficients whose roots are the preimages of w:
-    num - w*den, or den for w at infinity; each leading coefficient that
-    vanishes puts one preimage at infinity."""
-    d = f.degree
-    if is_inf(w):
-        return list(f._den_padded)
-    return [f._num_padded[k] - w * f._den_padded[k] for k in range(d + 1)]
-
-
 def _fibre_within(f: RationalMap, w: SpherePoint, pts: Sequence[SpherePoint]) -> bool:
     """True when every preimage of w under f lies in pts.
 
@@ -184,7 +174,7 @@ def _fibre_within(f: RationalMap, w: SpherePoint, pts: Sequence[SpherePoint]) ->
     comparison far too blunt).
     """
     d = f.degree
-    coeffs = _fibre_polynomial(f, w)
+    coeffs = fibre_polynomial(f, w)
     maxmag = max(abs(c) for c in coeffs)
     if maxmag == 0.0:
         return False
@@ -208,7 +198,7 @@ def _fibre_within(f: RationalMap, w: SpherePoint, pts: Sequence[SpherePoint]) ->
 
 def _totally_ramified(f: RationalMap, w: SpherePoint) -> bool:
     """True when w has a single preimage under f, of multiplicity degree(f)."""
-    coeffs = _fibre_polynomial(f, w)
+    coeffs = fibre_polynomial(f, w)
     d = f.degree
     maxmag = max(abs(c) for c in coeffs)
     if abs(coeffs[d]) <= 1e-12 * maxmag:

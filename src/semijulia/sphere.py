@@ -8,9 +8,13 @@ infinities and NaNs never appear in validated data.
 from __future__ import annotations
 
 import math
-from typing import Union
+from typing import Sequence, Union
 
-__all__ = ["INF", "SpherePoint", "is_inf", "ensure_point", "chordal_distance"]
+import numpy as np
+
+__all__ = [
+    "INF", "SpherePoint", "is_inf", "ensure_point", "chordal_distance", "to_arrays", "from_arrays"
+]
 
 
 class _Infinity:
@@ -44,6 +48,24 @@ def ensure_point(p) -> SpherePoint:
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise ValueError(f"not a finite sphere point: {p!r} (use INF for the point at infinity)")
     return z
+
+
+def to_arrays(points: Sequence[SpherePoint]) -> tuple[np.ndarray, np.ndarray]:
+    """(complex array, at-infinity mask) of a list of points; the array holds
+    0 where the mask marks the point at infinity."""
+    try:
+        return np.asarray(points, dtype=complex), np.zeros(len(points), dtype=bool)
+    except TypeError:
+        at_inf = np.fromiter((p is INF for p in points), dtype=bool, count=len(points))
+        return np.array([0j if p is INF else p for p in points], dtype=complex), at_inf
+
+
+def from_arrays(zs: np.ndarray, at_inf: np.ndarray) -> list[SpherePoint]:
+    """The list of points that :func:`to_arrays` maps to (zs, at_inf)."""
+    points: list[SpherePoint] = zs.tolist()
+    for i in np.flatnonzero(at_inf).tolist():
+        points[i] = INF
+    return points
 
 
 def chordal_distance(p: SpherePoint, q: SpherePoint) -> float:

@@ -6,7 +6,6 @@ from semijulia.backward import (
     EmptyTail,
     WeightedPointCloud,
     _expand_level_fast,
-    _expand_level_scalar,
     empirical_measure,
     full_backward_tree,
     random_backward_orbit,
@@ -111,6 +110,12 @@ def test_tree_forward_consistency():
         assert chordal_distance(evaluate(sg.generators[j], w), parent) <= 1e-9
 
 
+def scalar_level(sg, level):
+    """The oracle for one tree level: every branch preimage of every point,
+    parent-major, through scalar preimages."""
+    return [w for p in level for g in sg.generators for w in preimages(g, p)]
+
+
 def test_scalar_and_vectorized_expansion_agree():
     # children of each parent must agree as multisets; same-generator
     # branches carry equal mass, so intra-block order is immaterial
@@ -118,10 +123,28 @@ def test_scalar_and_vectorized_expansion_agree():
     d = sg.total_degree
     pts = [1 + 0j, 0.5 - 0.25j, -2 + 1j, 0.01 + 3j]
     fast = _expand_level_fast(sg, np.asarray(pts, dtype=complex)).tolist()
-    slow = _expand_level_scalar(sg, pts)
+    slow = scalar_level(sg, pts)
     assert len(fast) == len(slow)
     for k in range(len(pts)):
         assert_multisets_close(fast[k * d : (k + 1) * d], slow[k * d : (k + 1) * d])
+
+
+@pytest.mark.parametrize(
+    "den",
+    [[0, 1], [2, 0, 1]],
+    ids=["(z^2+1)/z", "(z^2+1)/(z^2+2), with INF atoms"],
+)
+def test_tree_equals_scalar_level_oracle(den):
+    # the batched levels are bitwise the scalar ones, INF atoms included
+    sg = Semigroup(
+        (rational_map([0, 0, 1]), rational_map([1, 0, 1], den)),
+        ProbabilityVector([0.5, 0.5]),
+    )
+    level = [1 + 0j]
+    for _ in range(5):
+        level = scalar_level(sg, level)
+    tree = full_backward_tree(sg, 1, 5, check_start=False)
+    assert repr(tree.points) == repr(level)
 
 
 def test_scalar_path_used_for_rational_generators():

@@ -395,14 +395,17 @@ def test_full_tree_grid_matches_materialized():
 
 
 def test_full_tree_grid_scalar_generators():
-    sg = Semigroup(
-        (rational_map([0, 0, 1]), rational_map([1, 0, 1], [0, 1])),
-        ProbabilityVector([0.5, 0.5]),
-    )
-    vp = Viewport(center=0j, width=6.0, height=6.0, nx=8, ny=8)
-    direct = bin_cloud(full_backward_tree(sg, 1, 3, check_start=False), vp)
-    streamed = full_tree_grid(sg, 1, 3, vp, chunk=4, check_start=False)
-    assert np.allclose(direct.cells, streamed.cells, atol=1e-12)
+    # (z^2+1)/z, and (z^2+1)/(z^2+2), whose tree has INF atoms
+    for den in ([0, 1], [2, 0, 1]):
+        sg = Semigroup(
+            (rational_map([0, 0, 1]), rational_map([1, 0, 1], den)),
+            ProbabilityVector([0.5, 0.5]),
+        )
+        vp = Viewport(center=0j, width=6.0, height=6.0, nx=8, ny=8)
+        direct = bin_cloud(full_backward_tree(sg, 1, 3, check_start=False), vp)
+        streamed = full_tree_grid(sg, 1, 3, vp, chunk=4, check_start=False)
+        assert np.allclose(direct.cells, streamed.cells, atol=1e-12)
+        assert streamed.outside_mass == pytest.approx(direct.outside_mass, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from semijulia.measure import hausdorff_distance
@@ -293,10 +293,12 @@ points = st.one_of(coeff.map(lambda z: 3 * z), st.just(INF))
 
 
 @given(random_maps(), st.lists(points, min_size=1, max_size=6))
+# numpy's complex sqrt is one ulp off cmath.sqrt at these discriminants
+@example(square(), [1j, -1j, -4j])
 def test_batch_rows_match_scalar_preimages(f, zs):
     for z, row in zip(zs, batch_rows(f, zs)):
         assert len(row) == f.degree
-        assert_same_multiset(row, preimages(f, z), 1e-12)
+        assert repr(row) == repr(preimages(f, z))
         for w in row:
             assert chordal_distance(evaluate(f, w), z) <= 1e-9
 
@@ -318,17 +320,21 @@ def test_batch_row_beyond_1e150_matches_scalar():
     assert batch_rows(square(), [1e200 + 0j]) == [preimages(square(), 1e200 + 0j)]
 
 
-@pytest.mark.parametrize("z", [1e200 + 0j, 1e300 + 0j])
+@pytest.mark.parametrize(
+    "z", [1e200 + 0j, 1e300 + 0j, 1.7e308 + 0j, 1.2e308 + 1.2e308j]
+)
 @pytest.mark.parametrize(
     "f",
     [
         rational_map([1, 0, 1], [2, 0, 1]),  # (z^2+1)/(z^2+2)
         rational_map([1, 2, 0, 3, 0, 1j], [1, 1, 0.5]),
+        rational_map([1, 0, 1], [1.2, 0, 0.5]),  # (z^2+1)/(z^2/2+1.2)
     ],
-    ids=["(z^2+1)/(z^2+2)", "degree-5 rational"],
+    ids=["(z^2+1)/(z^2+2)", "degree-5 rational", "(z^2+1)/(z^2/2+1.2)"],
 )
 def test_preimages_of_huge_point_do_not_overflow(f, z):
-    # b*b - 4ac of the unscaled preimage polynomial overflows to inf here
+    # b*b - 4ac of the unscaled preimage polynomial overflows to inf here;
+    # from 1.7e308 on num_k - z*den_k, or its modulus, does too
     pre = preimages(f, z)
     assert len(pre) == f.degree
     finite = [w for w in pre if not is_inf(w)]
