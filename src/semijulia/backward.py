@@ -15,6 +15,7 @@ from __future__ import annotations
 import mmap
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -56,19 +57,39 @@ class EmptyTail(ValueError):
     """Burn-in swallowed the whole orbit."""
 
 
-@dataclass(eq=False)
-class WeightedPointCloud:
-    """Finite atomic measure: points with matching nonnegative masses."""
+class _PointArrays:
+    """Points as arrays: point k is ``zs[k]`` (complex), or the point at
+    infinity where ``at_inf[k]`` is set (see :func:`to_arrays`)."""
 
-    points: list[SpherePoint]
+    def _check_points(self) -> None:
+        self.zs = np.asarray(self.zs, dtype=complex)
+        self.at_inf = np.asarray(self.at_inf, dtype=bool)
+        if self.zs.ndim != 1 or self.at_inf.shape != self.zs.shape:
+            raise ValueError(f"points {self.zs.shape} vs at-infinity mask {self.at_inf.shape}")
+
+    @cached_property
+    def points(self) -> list[SpherePoint]:
+        """The points as a list (``INF`` at infinity), built on first use."""
+        return from_arrays(self.zs, self.at_inf)
+
+    def __len__(self) -> int:
+        return self.zs.size
+
+
+@dataclass(eq=False)
+class WeightedPointCloud(_PointArrays):
+    """Finite atomic measure: atom k is point k with the nonnegative mass
+    ``masses[k]``."""
+
+    zs: np.ndarray
+    at_inf: np.ndarray
     masses: np.ndarray
 
     def __post_init__(self) -> None:
+        self._check_points()
         self.masses = np.asarray(self.masses, dtype=float)
-        if self.masses.ndim != 1 or len(self.points) != self.masses.size:
-            raise ValueError(
-                f"{len(self.points)} points vs {self.masses.size} masses"
-            )
+        if self.masses.shape != self.zs.shape:
+            raise ValueError(f"{self.zs.size} points vs masses {self.masses.shape}")
         if self.masses.size and float(self.masses.min()) < 0:
             raise ValueError("masses must be nonnegative")
 
@@ -76,29 +97,25 @@ class WeightedPointCloud:
     def total_mass(self) -> float:
         return float(self.masses.sum())
 
-    def __len__(self) -> int:
-        return len(self.points)
 
-
-@dataclass
-class BackwardOrbit:
+@dataclass(eq=False)
+class BackwardOrbit(_PointArrays):
     """One realization of the random backward chain.
 
-    ``points[m]`` is the chain state after m+1 steps; it is the branch
-    ``symbols[m]`` preimage of ``points[m-1]`` (of ``start`` for m = 0).
+    Point m is the chain state after m+1 steps; it is the branch
+    ``symbols[m]`` preimage of point m-1 (of ``start`` for m = 0).
     """
 
     start: SpherePoint
     symbols: list[int]
-    points: list[SpherePoint]
+    zs: np.ndarray
+    at_inf: np.ndarray
     seed: int
 
     def __post_init__(self) -> None:
-        if len(self.symbols) != len(self.points):
+        self._check_points()
+        if len(self.symbols) != self.zs.size:
             raise ValueError("symbols and points must have equal length")
-
-    def __len__(self) -> int:
-        return len(self.points)
 
 
 # ---------------------------------------------------------------------------
@@ -218,8 +235,7 @@ def full_backward_tree(
             f"{d}^{depth} atoms exceed the budget of {max_atoms}; "
             "lower the depth or raise max_atoms"
         )
-    ((zs, at_inf, masses),) = tree_blocks(sg, start, depth, d**depth)
-    return WeightedPointCloud(points=from_arrays(zs, at_inf), masses=masses)
+    return WeightedPointCloud(*next(tree_blocks(sg, start, depth, d**depth)))
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +272,7 @@ def random_backward_orbit(
         j, r = decode[i]
         z = preimages(gens[j], z)[r]
         append(z)
-    return BackwardOrbit(start=start, symbols=symbols, points=pts, seed=seed)
+    return BackwardOrbit(start, symbols, *to_arrays(pts), seed)
 
 
 def empirical_measure(orbit: BackwardOrbit, burn_in: int) -> WeightedPointCloud:
@@ -264,12 +280,12 @@ def empirical_measure(orbit: BackwardOrbit, burn_in: int) -> WeightedPointCloud:
     of them; with burn_in = 0 this is exactly the orbit's time average."""
     if burn_in < 0:
         raise ValueError("burn_in must be >= 0")
-    n = len(orbit.points)
+    n = len(orbit)
     if burn_in >= n:
         raise EmptyTail(f"burn_in {burn_in} >= orbit length {n}")
-    tail = orbit.points[burn_in:]
+    tail = n - burn_in
     return WeightedPointCloud(
-        points=list(tail), masses=np.full(len(tail), 1.0 / len(tail))
+        orbit.zs[burn_in:], orbit.at_inf[burn_in:], np.full(tail, 1.0 / tail)
     )
 
 
@@ -319,7 +335,8 @@ def _run_chain(jobs: _ChainJobs, k: int) -> None:
     orbit = random_backward_orbit(
         jobs.sg, jobs.start, jobs.n, jobs.seeds[k], dist=jobs.dist, check_start=False
     )
-    jobs.zs[k], jobs.at_inf[k] = to_arrays(orbit.points[jobs.burn_in :])
+    jobs.zs[k] = orbit.zs[jobs.burn_in :]
+    jobs.at_inf[k] = orbit.at_inf[jobs.burn_in :]
 
 
 # set only inside a worker process, by the pool initializer
@@ -403,4 +420,4 @@ def run_chains(
             _run_chain(jobs, k)
     # each chain's empirical_measure masses, divided by the number of chains
     masses = np.full(size, (1.0 / tail) / n_chains)
-    return WeightedPointCloud(points=from_arrays(zs, at_inf), masses=masses)
+    return WeightedPointCloud(zs, at_inf, masses)

@@ -40,7 +40,7 @@ from .semigroup import (
     make_rng,
     validate_assumptions,
 )
-from .sphere import SpherePoint
+from .sphere import SpherePoint, from_arrays
 
 __all__ = ["ConfigError", "RunConfig", "RunResult", "parse_config", "execute_run", "main"]
 
@@ -346,14 +346,14 @@ def _invariance_section(sg: Semigroup, cloud) -> tuple[list[str], dict[str, floa
     return lines, {f"invariance.{k}": v for k, v in report.items()}
 
 
-def _support_sample(points: list, cap: int = 4096) -> list:
+def _support_sample(zs, at_inf, cap: int = 4096) -> list:
     # seeded draw without replacement: a plain stride aliases with the
     # branch-block period of tree clouds and skews the sample badly
-    if len(points) <= cap:
-        return list(points)
-    idx = make_rng(_SUPPORT_SAMPLE_SEED).choice(len(points), size=cap, replace=False)
-    idx.sort()
-    return [points[i] for i in idx]
+    if zs.size > cap:
+        idx = make_rng(_SUPPORT_SAMPLE_SEED).choice(zs.size, size=cap, replace=False)
+        idx.sort()
+        zs, at_inf = zs[idx], at_inf[idx]
+    return from_arrays(zs, at_inf)
 
 
 def execute_run(config: RunConfig) -> RunResult:
@@ -432,35 +432,33 @@ def execute_run(config: RunConfig) -> RunResult:
         )
         return grid, None
 
-    if config.method == "random":
-        grid, cloud = random_grid_and_cloud()
-        emit("", grid)
-        lines, inv = _invariance_section(config.semigroup, cloud)
-        report_lines.extend(lines)
-        metrics.update(inv)
-    elif config.method == "full":
+    if config.method == "full":
         grid, _ = full_cloud_or_grid()
         emit("", grid)
-    else:  # compare
+    else:
         rgrid, rcloud = random_grid_and_cloud()
-        fgrid, fcloud = full_cloud_or_grid()
-        if fcloud is None:
-            raise BudgetExceeded(
-                "compare needs the materialized full tree; lower depth or raise max_atoms"
+        if config.method == "random":
+            emit("", rgrid)
+        else:  # compare
+            fgrid, fcloud = full_cloud_or_grid()
+            if fcloud is None:
+                raise BudgetExceeded(
+                    "compare needs the materialized full tree; lower depth or raise max_atoms"
+                )
+            emit("random", rgrid)
+            emit("full", fgrid)
+            tv = total_variation(fgrid, rgrid)
+            hd = hausdorff_distance(
+                _support_sample(fcloud.zs, fcloud.at_inf),
+                _support_sample(rcloud.zs, rcloud.at_inf),
             )
-        emit("random", rgrid)
-        emit("full", fgrid)
-        tv = total_variation(fgrid, rgrid)
-        hd = hausdorff_distance(
-            _support_sample(fcloud.points), _support_sample(rcloud.points)
-        )
-        metrics["total_variation"] = tv
-        metrics["hausdorff_support_distance"] = hd
-        report_lines.append(f"total_variation = {tv:.6g}")
-        report_lines.append(
-            f"hausdorff_support_distance = {hd:.6g} "
-            "(both supports subsampled to <= 4096 points)"
-        )
+            metrics["total_variation"] = tv
+            metrics["hausdorff_support_distance"] = hd
+            report_lines.append(f"total_variation = {tv:.6g}")
+            report_lines.append(
+                f"hausdorff_support_distance = {hd:.6g} "
+                "(both supports subsampled to <= 4096 points)"
+            )
         lines, inv = _invariance_section(config.semigroup, rcloud)
         report_lines.extend(lines)
         metrics.update(inv)

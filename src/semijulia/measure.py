@@ -133,8 +133,7 @@ def bin_cloud(cloud: WeightedPointCloud, vp: Viewport) -> GridMeasure:
     """Accumulate each atom's mass into the cell containing its point, in
     atom order; atoms outside the viewport or at infinity feed the overflow
     slot."""
-    zs, at_inf = to_arrays(cloud.points)
-    cells, outside = _bin_arrays(zs, at_inf, cloud.masses, vp)
+    cells, outside = _bin_arrays(cloud.zs, cloud.at_inf, cloud.masses, vp)
     return GridMeasure(viewport=vp, cells=cells, outside_mass=outside)
 
 
@@ -252,8 +251,6 @@ def distance_decay_profile(
     """Chordal distance from each orbit point to the reference set, in step
     order.  Diagnostic only: no monotonicity implied, only eventual
     smallness when the reference approximates the Julia set."""
-    if len(reference) == 0:
-        raise EmptySet("reference set is empty")
     return min_distances(orbit.points, reference)
 
 
@@ -366,11 +363,11 @@ def check_invariance(
     replacement) when a generator is supplied; preimages are computed once
     per block of atoms and shared across all test functions.
     """
-    n = len(cloud.points)
+    n = len(cloud)
     if n == 0:
         raise EmptySet("cannot check invariance of an empty cloud")
     total = cloud.total_mass
-    zs, at_inf = to_arrays(cloud.points)
+    zs, at_inf = cloud.zs, cloud.at_inf
     if rng is not None and n > max_atoms:
         p = cloud.masses / total
         idx = rng.choice(n, size=max_atoms, p=p)
@@ -391,10 +388,10 @@ def check_invariance(
 
 def cesaro_average(orbit: BackwardOrbit, phi: TestFunction, burn_in: int = 0) -> float:
     """Time average of phi along the orbit after a burn-in prefix."""
-    pts = orbit.points[burn_in:]
-    if not pts:
-        raise EmptyTail(f"burn_in {burn_in} >= orbit length {len(orbit.points)}")
-    return float(phi(*to_arrays(pts)).sum()) / len(pts)
+    zs, at_inf = orbit.zs[burn_in:], orbit.at_inf[burn_in:]
+    if zs.size == 0:
+        raise EmptyTail(f"burn_in {burn_in} >= orbit length {len(orbit)}")
+    return float(phi(zs, at_inf).sum()) / zs.size
 
 
 # ---------------------------------------------------------------------------

@@ -37,12 +37,14 @@ _RESIDUAL_TOL = 1e-12
 _SHARED_ROOT_TOL = 1e-10
 _MAX_SWEEPS = 500
 
-# A preimage polynomial whose largest coefficient exceeds 2**_RESCALE_EXP is
-# scaled by a power of two down to below it, so that products of two
-# coefficients (b*b - 4ac) stay finite; the roots are unchanged, and so are
-# their bits wherever the unscaled arithmetic did not overflow.
+# A polynomial whose largest |coefficient| lies above 2**_RESCALE_EXP or
+# below 2**-_RESCALE_EXP is scaled by a power of two to just below
+# 2**_RESCALE_EXP, so that products of two coefficients (b*b - 4ac) neither
+# overflow nor underflow; the roots are unchanged, and so are their bits
+# wherever the unscaled arithmetic neither overflowed nor underflowed.
 _RESCALE_EXP = 500
 _RESCALE_ABOVE = 2.0**_RESCALE_EXP
+_RESCALE_BELOW = 2.0**-_RESCALE_EXP
 
 
 class SolverDivergence(RuntimeError):
@@ -185,17 +187,38 @@ def _aberth_roots(coeffs: Sequence[complex]) -> list[complex]:
     return polished
 
 
+def _normalized(coeffs: list[complex], peak: float) -> tuple[list[complex], float]:
+    """Coefficients and their largest modulus ``peak``, rescaled as above
+    (ldexp on the parts: for tiny peaks a factor 2**k would overflow)."""
+    if not 0.0 < peak < math.inf or _RESCALE_BELOW <= peak <= _RESCALE_ABOVE:
+        return coeffs, peak
+    k = _RESCALE_EXP - math.frexp(peak)[1]
+    coeffs = [complex(math.ldexp(c.real, k), math.ldexp(c.imag, k)) for c in coeffs]
+    return coeffs, max(map(abs, coeffs))
+
+
 def polynomial_roots(coeffs: Sequence[complex]) -> list[complex]:
     """All complex roots of the polynomial with the given ascending
     coefficients, repeated with multiplicity.  Closed forms for degree <= 2,
-    simultaneous iteration above that.
+    simultaneous iteration above that, on coefficients normalized by a power
+    of two (see :func:`_normalized`).
     """
     cs = list(coeffs)
     while len(cs) > 1 and cs[-1] == 0:
         cs.pop()
-    n = len(cs) - 1
-    if n <= 0:
+    if len(cs) <= 1:
         return []
+    try:
+        peak = max(map(abs, cs))
+    except OverflowError:  # finite parts, modulus beyond the largest double
+        peak = math.inf
+    return _roots(_normalized(cs, peak)[0])
+
+
+def _roots(cs: list[complex]) -> list[complex]:
+    """:func:`polynomial_roots` of degree >= 1 coefficients whose leading one
+    is nonzero, as they stand."""
+    n = len(cs) - 1
     if n == 1:
         return [-cs[0] / cs[1]]
     if n == 2:
@@ -351,12 +374,8 @@ def preimages(f: RationalMap, z: SpherePoint) -> list[SpherePoint]:
     d = f.degree
     if is_inf(z):
         return _sorted_with_padding(polynomial_roots(f.denominator.coeffs), d)
-    coeffs, maxmag = _fibre(f, z)
+    coeffs, maxmag = _normalized(*_fibre(f, z))
     top = len(coeffs) - 1
-    if maxmag > _RESCALE_ABOVE:
-        scale = math.ldexp(1.0, _RESCALE_EXP - math.frexp(maxmag)[1])
-        coeffs = [complex(c.real * scale, c.imag * scale) for c in coeffs]
-        maxmag = max(abs(c) for c in coeffs)
     if maxmag == 0.0:
         # cannot happen for a genuine degree >= 1 map; guard for totality
         return [INF] * d
@@ -365,8 +384,7 @@ def preimages(f: RationalMap, z: SpherePoint) -> list[SpherePoint]:
         top -= 1
     if top == 0 or abs(coeffs[top]) <= cut:
         return [INF] * d
-    finite = polynomial_roots(coeffs[: top + 1])
-    return _sorted_with_padding(finite, d)
+    return _sorted_with_padding(_roots(coeffs[: top + 1]), d)
 
 
 # ---------------------------------------------------------------------------
@@ -579,17 +597,13 @@ def preimages_batch(
         pr, pi = _mul(zs.real[rows, None], zs.imag[rows, None], den.real, den.imag)
         cr, ci = num.real - pr, num.imag - pi
         mag = np.hypot(cr, ci)
-        # the rare rows where a |coefficient| overflows take the scaled form
-        for r in np.flatnonzero(~(mag < math.inf).all(axis=1)).tolist():
-            c = np.array(fibre_polynomial(f, complex(zs[rows[r]])))
-            cr[r], ci[r], mag[r] = c.real, c.imag, np.hypot(c.real, c.imag)
+        # the rare rows whose largest |coefficient| overflows, or needs the
+        # power-of-two normalization, take the scalar path's coefficients
         peak = mag.max(axis=1)
-        big = peak > _RESCALE_ABOVE
-        if big.any():
-            scale = np.ldexp(1.0, _RESCALE_EXP - np.frexp(peak[big])[1])[:, None]
-            cr[big] *= scale
-            ci[big] *= scale
-            mag[big] = np.hypot(cr[big], ci[big])
+        rare = ~((peak >= _RESCALE_BELOW) & (peak <= _RESCALE_ABOVE) | (peak == 0.0))
+        for r in np.flatnonzero(rare).tolist():
+            c = np.array(_normalized(*_fibre(f, complex(zs[rows[r]])))[0])
+            cr[r], ci[r], mag[r] = c.real, c.imag, np.hypot(c.real, c.imag)
         above = mag[:, 1:] > (_LEAD_DROP * mag.max(axis=1))[:, None]
         # effective degree: highest k >= 1 whose coefficient survives the cut
         # (0, all preimages at infinity, when none does)

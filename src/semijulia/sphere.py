@@ -68,30 +68,25 @@ def from_arrays(zs: np.ndarray, at_inf: np.ndarray) -> list[SpherePoint]:
     return points
 
 
+def _huge(z: complex) -> bool:
+    """Beyond _HUGE in a component (where ``abs(z)`` itself may overflow)."""
+    return max(abs(z.real), abs(z.imag)) > _HUGE
+
+
 def chordal_distance(p: SpherePoint, q: SpherePoint) -> float:
     """Chordal metric 2|p - q| / (sqrt(1+|p|^2) sqrt(1+|q|^2)), extended by
     continuity to infinity.  Symmetric, bounded by 2 (attained by antipodes).
     """
-    pi = p is INF
-    qi = q is INF
-    if pi and qi:
+    if q is INF or (p is not INF and _huge(q) and not _huge(p)):
+        p, q = q, p  # symmetric: now p is INF or huge wherever q is
+    if q is INF:
         return 0.0
-    if pi:
-        return 2.0 / math.hypot(1.0, abs(q))
-    if qi:
-        return 2.0 / math.hypot(1.0, abs(p))
-    ap = abs(p)
-    aq = abs(q)
-    if ap > _HUGE or aq > _HUGE:
-        # |p - q|^2 and 1 + |p|^2 can overflow; rewrite via 1/p (inversion is
-        # a chordal isometry, so the identities below are exact).
-        if ap > _HUGE and aq > _HUGE:
-            u = 1.0 / p
+    if p is INF or _huge(p):
+        # |p - q|^2 and 1 + |p|^2 can overflow; rewrite via w = 1/p, which is
+        # 0 at infinity (inversion is a chordal isometry, so this is exact).
+        w = 0j if p is INF else 1.0 / p
+        if _huge(q):
             v = 1.0 / q
-            return 2.0 * abs(u - v) / (math.hypot(1.0, abs(u)) * math.hypot(1.0, abs(v)))
-        if ap > _HUGE:
-            w = 1.0 / p
-            return 2.0 * abs(1.0 - w * q) / (math.hypot(abs(w), 1.0) * math.hypot(1.0, aq))
-        w = 1.0 / q
-        return 2.0 * abs(1.0 - w * p) / (math.hypot(abs(w), 1.0) * math.hypot(1.0, ap))
-    return 2.0 * abs(p - q) / (math.hypot(1.0, ap) * math.hypot(1.0, aq))
+            return 2.0 * abs(w - v) / (math.hypot(1.0, abs(w)) * math.hypot(1.0, abs(v)))
+        return 2.0 * abs(1.0 - w * q) / (math.hypot(abs(w), 1.0) * math.hypot(1.0, abs(q)))
+    return 2.0 * abs(p - q) / (math.hypot(1.0, abs(p)) * math.hypot(1.0, abs(q)))

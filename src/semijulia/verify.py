@@ -18,16 +18,17 @@ import sys
 import tempfile
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .backward import (
-    WeightedPointCloud,
     empirical_measure,
     full_backward_tree,
     random_backward_orbit,
+    run_chains,
 )
 from .measure import (
     Viewport,
@@ -39,7 +40,13 @@ from .measure import (
     total_variation,
 )
 from .ratmap import RationalMap, evaluate, preimages, rational_map
-from .semigroup import ProbabilityVector, Semigroup, build_index_distribution, make_rng
+from .semigroup import (
+    ProbabilityVector,
+    Semigroup,
+    build_index_distribution,
+    make_rng,
+    sample_branch_block,
+)
 from .sphere import chordal_distance
 
 __all__ = ["CriterionResult", "CRITERION_NAMES", "run_criterion", "run_verification"]
@@ -55,6 +62,7 @@ _SEED_DECAY = 707
 _SEED_COVERAGE = 808
 
 _BURN_IN = 100
+_ANNULUS_STEPS = 250_000  # per chain of the annulus cloud
 
 
 @dataclass
@@ -98,66 +106,39 @@ def _finish(name: str, checks: _Checks, t0: float, budget: float) -> CriterionRe
 
 
 class VerificationContext:
-    """Lazy cache of the expensive shared artifacts (chains, trees)."""
-
-    def __init__(self) -> None:
-        self._cache: dict[str, object] = {}
-
-    def _get(self, key: str, builder: Callable[[], object]):
-        if key not in self._cache:
-            self._cache[key] = builder()
-        return self._cache[key]
+    """Lazy cache of the expensive shared artifacts (chains, trees): each is
+    built on first use."""
 
     # built-in semigroups -----------------------------------------------
+    @cached_property
     def circle_sg(self) -> Semigroup:
-        return self._get("circle_sg", lambda: Semigroup((rational_map([0, 0, 1]),)))
+        return Semigroup((rational_map([0, 0, 1]),))
 
+    @cached_property
     def arcsine_sg(self) -> Semigroup:
-        return self._get("arcsine_sg", lambda: Semigroup((rational_map([-2, 0, 1]),)))
+        return Semigroup((rational_map([-2, 0, 1]),))
 
+    @cached_property
     def annulus_sg(self) -> Semigroup:
-        return self._get(
-            "annulus_sg",
-            lambda: Semigroup(
-                (rational_map([0, 0, 1]), rational_map([0, 0, 0.25])),
-                ProbabilityVector((0.5, 0.5)),
-            ),
+        return Semigroup(
+            (rational_map([0, 0, 1]), rational_map([0, 0, 0.25])),
+            ProbabilityVector((0.5, 0.5)),
         )
 
     # chains and clouds ---------------------------------------------------
+    @cached_property
     def circle_orbit(self):
-        return self._get(
-            "circle_orbit",
-            lambda: random_backward_orbit(self.circle_sg(), 1, 1_000_000, _SEED_CIRCLE),
-        )
+        return random_backward_orbit(self.circle_sg, 1, 1_000_000, _SEED_CIRCLE)
 
+    @cached_property
     def arcsine_orbit(self):
-        return self._get(
-            "arcsine_orbit",
-            lambda: random_backward_orbit(self.arcsine_sg(), 0, 1_000_000, _SEED_ARCSINE),
-        )
+        return random_backward_orbit(self.arcsine_sg, 0, 1_000_000, _SEED_ARCSINE)
 
-    def annulus_orbits(self):
-        return self._get(
-            "annulus_orbits",
-            lambda: [
-                random_backward_orbit(self.annulus_sg(), 1, 250_000, s)
-                for s in _SEEDS_ANNULUS
-            ],
-        )
-
+    @cached_property
     def annulus_cloud(self):
-        def build():
-            orbits = self.annulus_orbits()
-            parts = [empirical_measure(o, _BURN_IN) for o in orbits]
-            points: list = []
-            masses = []
-            for c in parts:
-                points.extend(c.points)
-                masses.append(c.masses / len(parts))
-            return WeightedPointCloud(points=points, masses=np.concatenate(masses))
-
-        return self._get("annulus_cloud", build)
+        """The four pinned annulus chains of 250k steps after burn-in, one
+        row of ``zs.reshape(4, -1)`` per seed."""
+        return run_chains(self.annulus_sg, 1, _ANNULUS_STEPS, 4, _BURN_IN, _SEEDS_ANNULUS)
 
 
 # ---------------------------------------------------------------------------
@@ -249,15 +230,14 @@ def crit_branch_distribution(ctx: VerificationContext) -> CriterionResult:
 def crit_circle_measure(ctx: VerificationContext) -> CriterionResult:
     t0 = time.perf_counter()
     checks = _Checks()
-    orbit = ctx.circle_orbit()
-    pts = np.asarray(orbit.points[_BURN_IN:], dtype=complex)
+    pts = ctx.circle_orbit.zs[_BURN_IN:]
     radius_dev = float(np.abs(np.abs(pts) - 1.0).max())
     checks.le(radius_dev, 1e-9, "max | |z|-1 |")
     angles = np.mod(np.angle(pts), 2 * np.pi)
     freq = np.histogram(angles, bins=36, range=(0.0, 2 * np.pi))[0] / pts.size
     checks.le(float(np.abs(freq - 1 / 36).max()), 0.005, "angular histogram deviation")
-    tree = full_backward_tree(ctx.circle_sg(), 1, 20)
-    tre_angles = np.mod(np.angle(np.asarray(tree.points, dtype=complex)), 2 * np.pi)
+    tree = full_backward_tree(ctx.circle_sg, 1, 20)
+    tre_angles = np.mod(np.angle(tree.zs), 2 * np.pi)
     tfreq = np.histogram(tre_angles, bins=36, range=(0.0, 2 * np.pi))[0] / len(tree)
     checks.le(
         float(np.abs(tfreq - 1 / 36).max()), 1e-3, "depth-20 tree histogram deviation"
@@ -276,14 +256,13 @@ def _ks_against_arcsine(xs: np.ndarray) -> float:
 def crit_arcsine_measure(ctx: VerificationContext) -> CriterionResult:
     t0 = time.perf_counter()
     checks = _Checks()
-    orbit = ctx.arcsine_orbit()
-    pts = np.asarray(orbit.points[_BURN_IN:], dtype=complex)
+    pts = ctx.arcsine_orbit.zs[_BURN_IN:]
     checks.le(float(np.abs(pts.imag).max()), 1e-6, "max |Im z|")
     checks.le(float(pts.real.max()), 2 + 1e-6, "max Re z")
     checks.ge(float(pts.real.min()), -2 - 1e-6, "min Re z")
     checks.le(_ks_against_arcsine(pts.real), 0.02, "chain KS vs arcsine law")
-    tree = full_backward_tree(ctx.arcsine_sg(), 0, 18)
-    txs = np.asarray(tree.points, dtype=complex).real
+    tree = full_backward_tree(ctx.arcsine_sg, 0, 18)
+    txs = tree.zs.real
     checks.le(_ks_against_arcsine(txs), 0.005, "depth-18 tree KS vs arcsine law")
     return _finish("arcsine-measure", checks, t0, budget=30.0)
 
@@ -300,13 +279,13 @@ _ANNULUS_TREE_DEPTH = 10
 def crit_full_vs_random_tv(ctx: VerificationContext) -> CriterionResult:
     t0 = time.perf_counter()
     checks = _Checks()
-    tree = full_backward_tree(ctx.annulus_sg(), 1, _ANNULUS_TREE_DEPTH)
+    tree = full_backward_tree(ctx.annulus_sg, 1, _ANNULUS_TREE_DEPTH)
     checks.expect(
         len(tree) == 4**_ANNULUS_TREE_DEPTH,
         f"depth-{_ANNULUS_TREE_DEPTH} tree has {len(tree)} atoms",
     )
     tree_grid = bin_cloud(tree, _ANNULUS_VIEWPORT)
-    chain_grid = bin_cloud(ctx.annulus_cloud(), _ANNULUS_VIEWPORT)
+    chain_grid = bin_cloud(ctx.annulus_cloud, _ANNULUS_VIEWPORT)
     tv = total_variation(tree_grid, chain_grid)
     checks.le(tv, 0.05, "total variation full-vs-random")
     return _finish("full-vs-random-tv", checks, t0, budget=60.0)
@@ -317,9 +296,9 @@ def crit_transfer_invariance(ctx: VerificationContext) -> CriterionResult:
     checks = _Checks()
     phis = default_test_functions()
     cases = [
-        ("circle", ctx.circle_sg(), empirical_measure(ctx.circle_orbit(), _BURN_IN)),
-        ("arcsine", ctx.arcsine_sg(), empirical_measure(ctx.arcsine_orbit(), _BURN_IN)),
-        ("annulus", ctx.annulus_sg(), ctx.annulus_cloud()),
+        ("circle", ctx.circle_sg, empirical_measure(ctx.circle_orbit, _BURN_IN)),
+        ("arcsine", ctx.arcsine_sg, empirical_measure(ctx.arcsine_orbit, _BURN_IN)),
+        ("annulus", ctx.annulus_sg, ctx.annulus_cloud),
     ]
     for label, sg, cloud in cases:
         report = check_invariance(sg, cloud, phis, rng=make_rng(_SEED_INVARIANCE))
@@ -331,7 +310,7 @@ def crit_transfer_invariance(ctx: VerificationContext) -> CriterionResult:
 def crit_circle_decay(ctx: VerificationContext) -> CriterionResult:
     t0 = time.perf_counter()
     checks = _Checks()
-    orbit = random_backward_orbit(ctx.circle_sg(), 3, 60, _SEED_DECAY)
+    orbit = random_backward_orbit(ctx.circle_sg, 3, 60, _SEED_DECAY)
     # points[m-1] is the m-th step; the exact distance to the limit circle
     # is computable in closed form, no sampled reference needed
     tail = [circle_chordal_distance(z) for z in orbit.points[39:]]
@@ -342,7 +321,7 @@ def crit_circle_decay(ctx: VerificationContext) -> CriterionResult:
 def crit_circle_coverage(ctx: VerificationContext) -> CriterionResult:
     t0 = time.perf_counter()
     checks = _Checks()
-    orbit = random_backward_orbit(ctx.circle_sg(), 1, 100_000, _SEED_COVERAGE)
+    orbit = random_backward_orbit(ctx.circle_sg, 1, 100_000, _SEED_COVERAGE)
     refs = [cmath.exp(2j * math.pi * k / 4096) for k in range(4096)]
     gaps = min_distances(refs, orbit.points)
     checks.le(float(gaps.max()), 0.05, "worst circle sample to orbit distance")
@@ -358,7 +337,7 @@ def crit_determinism(ctx: VerificationContext) -> CriterionResult:
     for run_idx in range(2):
         with tempfile.TemporaryDirectory() as tmp:
             cfg = RunConfig(
-                semigroup=ctx.annulus_sg(),
+                semigroup=ctx.annulus_sg,
                 a=1 + 0j,
                 method="compare",
                 n=250_000,
@@ -390,21 +369,20 @@ def crit_markov_transitions(ctx: VerificationContext) -> CriterionResult:
     checks = _Checks()
     # diagnostic cell around z=1 sized so the pinned chains revisit it >= 1e4
     # times: [0.75, 1.25) x [-0.25, 0.25)
+    rows = ctx.annulus_cloud.zs.reshape(len(_SEEDS_ANNULUS), -1)
+    dist = build_index_distribution(ctx.annulus_sg)
     counts = np.zeros(4, dtype=np.int64)
     visits = 0
-    for orbit in ctx.annulus_orbits():
-        pts = np.asarray(orbit.points, dtype=complex)
-        syms = np.asarray(orbit.symbols)
-        m = np.arange(_BURN_IN, len(pts) - 1)
-        in_cell = (
-            (pts.real[m] >= 0.75)
-            & (pts.real[m] < 1.25)
-            & (pts.imag[m] >= -0.25)
-            & (pts.imag[m] < 0.25)
+    for seed, pts in zip(_SEEDS_ANNULUS, rows):
+        # run_chains keeps no symbols, but a chain draws all of its own up
+        # front in one block: symbol _BURN_IN + m + 1 takes pts[m] to pts[m+1]
+        syms = sample_branch_block(dist, make_rng(seed), _ANNULUS_STEPS)[_BURN_IN + 1 :]
+        z = pts[:-1]
+        hits = np.flatnonzero(
+            (z.real >= 0.75) & (z.real < 1.25) & (z.imag >= -0.25) & (z.imag < 0.25)
         )
-        hits = m[in_cell]
         visits += hits.size
-        counts += np.bincount(syms[hits + 1], minlength=4)
+        counts += np.bincount(syms[hits], minlength=4)
     checks.ge(float(visits), 1e4, "visits to the cell at z=1")
     freq = counts / max(visits, 1)
     checks.le(float(np.abs(freq - 0.25).max()), 0.02, "branch frequency deviation")

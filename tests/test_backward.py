@@ -13,8 +13,14 @@ from semijulia.backward import (
 )
 from semijulia.measure import Viewport, bin_cloud, cesaro_average
 from semijulia.ratmap import SolverDivergence, evaluate, preimages, rational_map
-from semijulia.semigroup import ProbabilityVector, Semigroup, build_index_distribution
-from semijulia.sphere import INF, chordal_distance
+from semijulia.semigroup import (
+    ProbabilityVector,
+    Semigroup,
+    build_index_distribution,
+    make_rng,
+    sample_branch_block,
+)
+from semijulia.sphere import INF, chordal_distance, to_arrays
 
 
 def square_sg():
@@ -198,6 +204,9 @@ def test_orbit_forward_consistency():
     sg = annulus_sg()
     dist = build_index_distribution(sg)
     orbit = random_backward_orbit(sg, 1, 300, seed=3)
+    # the chain's symbols are one block of the seed's stream, which
+    # verify's markov-transitions criterion redraws on its own
+    assert orbit.symbols == sample_branch_block(dist, make_rng(3), 300).tolist()
     prev = orbit.start
     for sym, z in zip(orbit.symbols, orbit.points):
         j, r = dist.decode[sym]
@@ -400,6 +409,6 @@ def test_cesaro_average_of_re_vanishes_on_circle():
 
 def test_cloud_validation():
     with pytest.raises(ValueError):
-        WeightedPointCloud(points=[1 + 0j], masses=np.array([0.5, 0.5]))
+        WeightedPointCloud(*to_arrays([1 + 0j]), masses=np.array([0.5, 0.5]))
     with pytest.raises(ValueError):
-        WeightedPointCloud(points=[1 + 0j], masses=np.array([-0.5]))
+        WeightedPointCloud(*to_arrays([1 + 0j]), masses=np.array([-0.5]))

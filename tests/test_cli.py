@@ -150,6 +150,33 @@ def test_compare_run_reports_tv(tmp_path):
         assert (tmp_path / name).exists()
 
 
+@pytest.mark.parametrize("method", ["random", "full", "compare"])
+def test_jobs_build_no_point_lists(tmp_path, monkeypatch, method):
+    # clouds and orbits carry arrays; their point lists are only built on
+    # demand, and no job asks for one: compare turns only its <= 4096-point
+    # support samples into lists
+    import semijulia.cli as cli
+    from semijulia.backward import BackwardOrbit, WeightedPointCloud
+
+    def refuse(self):
+        raise AssertionError(f"{type(self).__name__}.points built on a job path")
+
+    monkeypatch.setattr(WeightedPointCloud, "points", property(refuse))
+    monkeypatch.setattr(BackwardOrbit, "points", property(refuse))
+    listed = []
+
+    def from_arrays(zs, at_inf):
+        listed.append(zs.size)
+        return semijulia.sphere.from_arrays(zs, at_inf)
+
+    monkeypatch.setattr(cli, "from_arrays", from_arrays)
+    cfg = parse_config(
+        base_config(method=method, n=4000, depth=13, out=str(tmp_path / method))
+    )
+    assert execute_run(cfg).exit_code == 0
+    assert listed == ([4096, 4096] if method == "compare" else [])
+
+
 def test_support_sample_does_not_alias_tree_branch_blocks():
     # a stride-16 sample of a 4-branch tree would pin the last two symbols
     # and lose every high-modulus point; the seeded sample must span them
@@ -157,17 +184,18 @@ def test_support_sample_does_not_alias_tree_branch_blocks():
 
     from semijulia import ProbabilityVector, Semigroup, full_backward_tree, rational_map
     from semijulia.cli import _support_sample
+    from semijulia.sphere import to_arrays
 
     sg = Semigroup(
         (rational_map([0, 0, 1]), rational_map([0, 0, 0.25])),
         ProbabilityVector([0.5, 0.5]),
     )
     tree = full_backward_tree(sg, 1, 8)
-    sample = _support_sample(tree.points)
+    sample = _support_sample(*to_arrays(tree.points))
     assert len(sample) == 4096
     radii = np.abs(np.asarray(sample, complex))
     assert radii.max() > 3.5
-    assert _support_sample(sample) == sample  # small sets pass through
+    assert _support_sample(*to_arrays(sample)) == sample  # small sets pass through
 
 
 def test_identical_config_gives_identical_bytes(tmp_path):

@@ -33,7 +33,7 @@ from semijulia.measure import (
 )
 from semijulia.ratmap import preimages, rational_map
 from semijulia.semigroup import ProbabilityVector, Semigroup, make_rng
-from semijulia.sphere import INF, chordal_distance
+from semijulia.sphere import INF, chordal_distance, to_arrays
 
 
 def square_sg():
@@ -54,7 +54,7 @@ def vp44(n=4):
 def cloud(points, masses=None):
     if masses is None:
         masses = np.full(len(points), 1.0 / len(points))
-    return WeightedPointCloud(points=list(points), masses=np.asarray(masses, float))
+    return WeightedPointCloud(*to_arrays(list(points)), np.asarray(masses, float))
 
 
 # ---------------------------------------------------------------------------

@@ -71,6 +71,16 @@ def test_rational_map_rejects_root_shared_with_multiple_root(num, den):
         rational_map(den, num)
 
 
+@pytest.mark.parametrize("scale", [1e200, 1e300, 1e-200, 1e-300])
+def test_rational_map_accepts_huge_and_tiny_coefficients(scale):
+    # (z^2+1)/(scale (z^2+2)): unscaled, b*b - 4ac of the denominator
+    # overflows to inf (NaN roots) or underflows to 0 (division by zero)
+    f = rational_map([1, 0, 1], [2 * scale, 0, scale])
+    poles = [complex(0, -math.sqrt(2)), complex(0, math.sqrt(2))]
+    assert_same_multiset(polynomial_roots(f.denominator.coeffs), poles, 1e-12)
+    assert_same_multiset(preimages(f, INF), poles, 1e-12)
+
+
 def test_rational_map_rejects_degree_zero():
     with pytest.raises(ValueError):
         rational_map([2], [1])
@@ -295,6 +305,8 @@ points = st.one_of(coeff.map(lambda z: 3 * z), st.just(INF))
 @given(random_maps(), st.lists(points, min_size=1, max_size=6))
 # numpy's complex sqrt is one ulp off cmath.sqrt at these discriminants
 @example(square(), [1j, -1j, -4j])
+# b*b - 4ac underflows to 0 unless the fibre polynomial is scaled up
+@example(rational_map([1e-200, 0, 1e-200]), [0j, 1e-200 + 0j, INF])
 def test_batch_rows_match_scalar_preimages(f, zs):
     for z, row in zip(zs, batch_rows(f, zs)):
         assert len(row) == f.degree

@@ -38,6 +38,8 @@ def test_huge_moduli_do_not_overflow():
     d = chordal_distance(a, b)
     assert 0.0 <= d <= 1e-9  # both are chordally next to infinity
     assert chordal_distance(a, 0j) == pytest.approx(2.0, abs=1e-12)
+    # |q| itself exceeds the largest double
+    assert chordal_distance(1j, -1.7e308 + 1.7e308j) == pytest.approx(math.sqrt(2), abs=1e-12)
 
 
 @given(points, points)
