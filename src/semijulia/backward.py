@@ -38,7 +38,9 @@ __all__ = [
     "BackwardOrbit",
     "DEFAULT_ATOM_BUDGET",
     "DEFAULT_BURN_IN",
+    "DEFAULT_TREE_BLOCK",
     "full_backward_tree",
+    "tree_atoms",
     "tree_blocks",
     "random_backward_orbit",
     "empirical_measure",
@@ -47,6 +49,8 @@ __all__ = [
 
 DEFAULT_ATOM_BUDGET = 2**24
 DEFAULT_BURN_IN = 100
+# atoms per block of a streamed tree (see tree_blocks)
+DEFAULT_TREE_BLOCK = 2**16
 
 
 class BudgetExceeded(RuntimeError):
@@ -210,6 +214,24 @@ def tree_blocks(
             # branch i of every parent: the stride-d slice at offset i
             for i in reversed(range(d)):
                 stack.append((kids[i::d].copy(), kids_inf[i::d].copy(), masses * pi[i], left - 1))
+
+
+def tree_atoms(
+    sg: Semigroup, start: SpherePoint, depth: int, idx: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Atoms ``idx`` of :func:`full_backward_tree` as ``(zs, at_inf)``, without
+    building the tree.  Atom k is the preimage word spelled by the base-d
+    digits of k, most significant first: each level expands every row and
+    keeps the child its digit names."""
+    d, idx = sg.total_degree, np.asarray(idx, dtype=np.int64)
+    if depth < 0 or (idx.size and not 0 <= idx.min() <= idx.max() < d**depth):
+        raise ValueError(f"need depth >= 0 and atom indices in [0, {d}^{depth})")
+    zs, at_inf = (np.repeat(a, idx.size) for a in to_arrays([ensure_point(start)]))
+    for level in reversed(range(depth)):
+        kids, kids_inf = _expand_level(sg, zs, at_inf)
+        col = np.arange(idx.size) * d + (idx // d**level) % d
+        zs, at_inf = kids[col], kids_inf[col]
+    return zs, at_inf
 
 
 def full_backward_tree(

@@ -14,13 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
-from .backward import (
-    DEFAULT_ATOM_BUDGET,
-    DEFAULT_BURN_IN,
-    BudgetExceeded,
-    full_backward_tree,
-    run_chains,
-)
+from .backward import DEFAULT_BURN_IN, DEFAULT_TREE_BLOCK, run_chains, tree_atoms
 from .measure import (
     Viewport,
     bin_cloud,
@@ -40,7 +34,7 @@ from .semigroup import (
     make_rng,
     validate_assumptions,
 )
-from .sphere import SpherePoint, from_arrays
+from .sphere import SpherePoint, ensure_point, from_arrays
 
 __all__ = ["ConfigError", "RunConfig", "RunResult", "parse_config", "execute_run", "main"]
 
@@ -74,7 +68,7 @@ class RunConfig:
     background: tuple[int, int, int] = (0, 0, 0)
     foreground: tuple[int, int, int] = (255, 255, 255)
     out_prefix: str = "semijulia_out"
-    max_atoms: int = DEFAULT_ATOM_BUDGET
+    max_atoms: int = DEFAULT_TREE_BLOCK
     only: list[str] | None = None
 
     def image_spec(self) -> ImageSpec:
@@ -155,10 +149,22 @@ def _coeff_list(value, where: str) -> list[complex]:
     return [_complex_pair(v, f"{where}[{i}]") for i, v in enumerate(value)]
 
 
-def _int_field(raw: dict, key: str, default: int, minimum: int) -> int:
+def _int_field(raw: dict, key: str, default: int, minimum: int, where: str = "") -> int:
     value = raw.get(key, default)
     if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
-        raise ConfigError(f"field '{key}': expected integer >= {minimum}, got {value!r}")
+        raise ConfigError(
+            f"field '{where}{key}': expected integer >= {minimum}, got {value!r}"
+        )
+    return value
+
+
+def _object_field(raw: dict, key: str, known: set[str]) -> dict:
+    value = raw.get(key, {})
+    if not isinstance(value, dict):
+        raise ConfigError(f"field '{key}': expected an object, got {value!r}")
+    unknown = set(value) - known
+    if unknown:
+        raise ConfigError(f"field '{key}': unknown keys {sorted(unknown)}")
     return value
 
 
@@ -245,13 +251,16 @@ def parse_config(raw: dict, overrides: dict | None = None) -> RunConfig:
 
     if "a" not in raw:
         raise ConfigError("field 'a': required start point [re, im] is missing")
-    a = _complex_pair(raw["a"], "a")
+    try:
+        a = ensure_point(_complex_pair(raw["a"], "a"))
+    except ValueError as exc:
+        raise ConfigError(f"field 'a': {exc}") from exc
 
     n = _int_field(raw, "n", 100_000, 1)
     depth = _int_field(raw, "depth", 8, 0)
     burn_in = _int_field(raw, "burn_in", DEFAULT_BURN_IN, 0)
     chains = _int_field(raw, "chains", 4, 1)
-    max_atoms = _int_field(raw, "max_atoms", DEFAULT_ATOM_BUDGET, 1)
+    max_atoms = _int_field(raw, "max_atoms", DEFAULT_TREE_BLOCK, 1)
     base_seed = raw.get("seed", 0)
     if not isinstance(base_seed, int) or isinstance(base_seed, bool):
         raise ConfigError(f"field 'seed': expected integer, got {base_seed!r}")
@@ -266,23 +275,21 @@ def parse_config(raw: dict, overrides: dict | None = None) -> RunConfig:
             f"field 'seeds': expected {chains} pairwise distinct integers, got {seeds!r}"
         )
 
-    vp_raw = raw.get("viewport", {})
-    if not isinstance(vp_raw, dict):
-        raise ConfigError(f"field 'viewport': expected an object, got {vp_raw!r}")
+    vp_raw = _object_field(raw, "viewport", {"center", "width", "height", "nx", "ny"})
+    nx = _int_field(vp_raw, "nx", 512, 1, "viewport.")
+    ny = _int_field(vp_raw, "ny", 512, 1, "viewport.")
     try:
         viewport = Viewport(
             center=_complex_pair(vp_raw.get("center", [0, 0]), "viewport.center"),
             width=float(vp_raw.get("width", 4.0)),
             height=float(vp_raw.get("height", 4.0)),
-            nx=int(vp_raw.get("nx", 512)),
-            ny=int(vp_raw.get("ny", 512)),
+            nx=nx,
+            ny=ny,
         )
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"field 'viewport': {exc}") from exc
 
-    img_raw = raw.get("image", {})
-    if not isinstance(img_raw, dict):
-        raise ConfigError(f"field 'image': expected an object, got {img_raw!r}")
+    img_raw = _object_field(raw, "image", {"colormap", "scale", "background", "foreground"})
     colormap = img_raw.get("colormap", "fire")
     scale = img_raw.get("scale", "log")
     if colormap not in COLORMAPS:
@@ -346,14 +353,17 @@ def _invariance_section(sg: Semigroup, cloud) -> tuple[list[str], dict[str, floa
     return lines, {f"invariance.{k}": v for k, v in report.items()}
 
 
-def _support_sample(zs, at_inf, cap: int = 4096) -> list:
-    # seeded draw without replacement: a plain stride aliases with the
-    # branch-block period of tree clouds and skews the sample badly
-    if zs.size > cap:
-        idx = make_rng(_SUPPORT_SAMPLE_SEED).choice(zs.size, size=cap, replace=False)
-        idx.sort()
-        zs, at_inf = zs[idx], at_inf[idx]
-    return from_arrays(zs, at_inf)
+def _sample_indices(n: int, cap: int = 4096):
+    # seeded draw without replacement, sorted (all n when n <= cap): a plain
+    # stride aliases with the branch-block period of trees and skews the sample
+    idx = make_rng(_SUPPORT_SAMPLE_SEED).choice(n, size=min(n, cap), replace=False)
+    idx.sort()
+    return idx
+
+
+def _support_sample(zs, at_inf) -> list:
+    idx = _sample_indices(zs.size)
+    return from_arrays(zs[idx], at_inf[idx])
 
 
 def execute_run(config: RunConfig) -> RunResult:
@@ -370,6 +380,7 @@ def execute_run(config: RunConfig) -> RunResult:
     if prefix.parent != Path(""):
         prefix.parent.mkdir(parents=True, exist_ok=True)
     spec = config.image_spec()
+    d = config.semigroup.total_degree
     artifacts: dict[str, str] = {}
     metrics: dict[str, float] = {}
     report_lines = [
@@ -392,7 +403,8 @@ def execute_run(config: RunConfig) -> RunResult:
         artifacts[f"{tag or 'main'}.grid"] = str(grid_path)
         artifacts[f"{tag or 'main'}.image"] = str(image_path)
 
-    def random_grid_and_cloud():
+    grids = {}
+    if config.method in ("random", "compare"):
         cloud = run_chains(
             config.semigroup,
             config.a,
@@ -406,60 +418,38 @@ def execute_run(config: RunConfig) -> RunResult:
             f"random method: {config.chains} chains x {config.n} steps, "
             f"burn-in {config.burn_in}, seeds {config.seeds}"
         )
-        return bin_cloud(cloud, config.viewport), cloud
-
-    def full_cloud_or_grid():
-        d = config.semigroup.total_degree
-        atoms = d**config.depth
+        grids["random"] = bin_cloud(cloud, config.viewport)
+    if config.method in ("full", "compare"):
         report_lines.append(
-            f"full method: depth {config.depth} ({atoms} atoms of total degree {d})"
+            f"full method: depth {config.depth} ({d**config.depth} atoms of total "
+            f"degree {d}), streamed in blocks of at most {config.max_atoms} atoms"
         )
-        if atoms <= config.max_atoms:
-            cloud = full_backward_tree(
-                config.semigroup,
-                config.a,
-                config.depth,
-                max_atoms=config.max_atoms,
-                check_start=False,
-            )
-            return bin_cloud(cloud, config.viewport), cloud
+        grids["full"] = full_tree_grid(
+            config.semigroup,
+            config.a,
+            config.depth,
+            config.viewport,
+            chunk=config.max_atoms,
+            check_start=False,
+        )
+    for tag, grid in grids.items():
+        emit(tag if len(grids) > 1 else "", grid)
+    if config.method == "compare":
+        tv = total_variation(grids["full"], grids["random"])
+        idx = _sample_indices(d**config.depth)
+        hd = hausdorff_distance(
+            from_arrays(*tree_atoms(config.semigroup, config.a, config.depth, idx)),
+            _support_sample(cloud.zs, cloud.at_inf),
+        )
+        metrics["total_variation"] = tv
+        metrics["hausdorff_support_distance"] = hd
+        report_lines.append(f"total_variation = {tv:.6g}")
         report_lines.append(
-            f"  ({atoms} atoms exceed the {config.max_atoms}-atom budget; "
-            "streamed level blocks directly to the grid)"
+            f"hausdorff_support_distance = {hd:.6g} "
+            "(both supports subsampled to <= 4096 points)"
         )
-        grid = full_tree_grid(
-            config.semigroup, config.a, config.depth, config.viewport, check_start=False
-        )
-        return grid, None
-
-    if config.method == "full":
-        grid, _ = full_cloud_or_grid()
-        emit("", grid)
-    else:
-        rgrid, rcloud = random_grid_and_cloud()
-        if config.method == "random":
-            emit("", rgrid)
-        else:  # compare
-            fgrid, fcloud = full_cloud_or_grid()
-            if fcloud is None:
-                raise BudgetExceeded(
-                    "compare needs the materialized full tree; lower depth or raise max_atoms"
-                )
-            emit("random", rgrid)
-            emit("full", fgrid)
-            tv = total_variation(fgrid, rgrid)
-            hd = hausdorff_distance(
-                _support_sample(fcloud.zs, fcloud.at_inf),
-                _support_sample(rcloud.zs, rcloud.at_inf),
-            )
-            metrics["total_variation"] = tv
-            metrics["hausdorff_support_distance"] = hd
-            report_lines.append(f"total_variation = {tv:.6g}")
-            report_lines.append(
-                f"hausdorff_support_distance = {hd:.6g} "
-                "(both supports subsampled to <= 4096 points)"
-            )
-        lines, inv = _invariance_section(config.semigroup, rcloud)
+    if "random" in grids:
+        lines, inv = _invariance_section(config.semigroup, cloud)
         report_lines.extend(lines)
         metrics.update(inv)
 
@@ -531,7 +521,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         for name, path in sorted(result.artifacts.items()):
             print(f"{name}: {path}")
         return result.exit_code
-    except (ConfigError, ExceptionalStartPoint, BudgetExceeded) as exc:
+    except (ConfigError, ExceptionalStartPoint) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except SolverDivergence as exc:

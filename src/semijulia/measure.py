@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .backward import BackwardOrbit, EmptyTail, WeightedPointCloud, tree_blocks
+from .backward import DEFAULT_TREE_BLOCK, BackwardOrbit, EmptyTail, WeightedPointCloud, tree_blocks
 from .ratmap import preimages_batch
 from .semigroup import Semigroup, validate_assumptions
 from .sphere import SpherePoint, ensure_point, is_inf, to_arrays
@@ -62,6 +62,9 @@ class Viewport:
         object.__setattr__(self, "center", complex(self.center))
         object.__setattr__(self, "width", float(self.width))
         object.__setattr__(self, "height", float(self.height))
+        window = (self.center.real, self.center.imag, self.width, self.height)
+        if not all(map(math.isfinite, window)):
+            raise ValueError("viewport center, width and height must be finite")
         if self.width <= 0 or self.height <= 0:
             raise ValueError("viewport width and height must be positive")
         if self.nx < 1 or self.ny < 1:
@@ -143,7 +146,7 @@ def full_tree_grid(
     depth: int,
     vp: Viewport,
     *,
-    chunk: int = 2**16,
+    chunk: int = DEFAULT_TREE_BLOCK,
     check_start: bool = True,
 ) -> GridMeasure:
     """Bin the full backward tree of the given depth without materializing it.

@@ -10,6 +10,7 @@ from semijulia.backward import (
     full_backward_tree,
     random_backward_orbit,
     run_chains,
+    tree_atoms,
 )
 from semijulia.measure import Viewport, bin_cloud, cesaro_average
 from semijulia.ratmap import SolverDivergence, evaluate, preimages, rational_map
@@ -167,6 +168,38 @@ def test_scalar_path_used_for_rational_generators():
 def test_tree_budget():
     with pytest.raises(BudgetExceeded):
         full_backward_tree(square_sg(), 1, 8, max_atoms=100)
+
+
+@pytest.mark.parametrize(
+    "gens, start, depth, some_inf",
+    [
+        ([([0, 0, 1],), ([0, 0, 0.25],)], 1, 8, False),
+        ([([0, 0, 1],), ([1, 0, 1], [2, 0, 1])], 1, 5, True),
+        ([([0.3, 0, 0, 1],), ([0.5, 0, 1], [0, 1.5])], 0.5 + 0.2j, 7, False),  # Aberth
+    ],
+    ids=["annulus", "(z^2+1)/(z^2+2), with INF atoms", "cubic+rational"],
+)
+def test_tree_atoms_pick_the_materialized_atoms(gens, start, depth, some_inf):
+    # atom k is the word of k's base-d digits: the same bytes as the tree's
+    sg = Semigroup(tuple(rational_map(*g) for g in gens))
+    tree = full_backward_tree(sg, start, depth, check_start=False)
+    idx = np.sort(make_rng(5).choice(len(tree), size=500, replace=False))
+    idx[:2] = 0, 1  # the first two siblings
+    idx[-1] = len(tree) - 1
+    zs, at_inf = tree_atoms(sg, start, depth, idx)
+    assert zs.tobytes() == tree.zs[idx].tobytes()
+    assert at_inf.tobytes() == tree.at_inf[idx].tobytes()
+    assert at_inf.any() == some_inf
+
+
+def test_tree_atoms_edge_cases():
+    sg = annulus_sg()
+    zs, at_inf = tree_atoms(sg, 1, 0, [0])
+    assert zs.tolist() == [1 + 0j] and at_inf.tolist() == [False]
+    assert tree_atoms(sg, 1, 3, [])[0].size == 0
+    for depth, idx in ((3, [4**3]), (3, [-1]), (-1, [0])):
+        with pytest.raises(ValueError, match="atom indices"):
+            tree_atoms(sg, 1, depth, idx)
 
 
 def test_tree_rejects_exceptional_start():

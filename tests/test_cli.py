@@ -87,6 +87,25 @@ def test_parse_default_seeds_from_base_seed():
     assert parsed.seeds == [10, 11, 12]
 
 
+@pytest.mark.parametrize(
+    "field, value, match",
+    [
+        ("viewport", {"widht": 9}, "'viewport'.*widht"),
+        ("image", {"colormap": "fire", "sacle": "linear"}, "'image'.*sacle"),
+        ("viewport", {"nx": 8.7}, "'viewport.nx'"),
+        ("viewport", {"ny": True}, "'viewport.ny'"),
+        ("viewport", {"nx": "64"}, "'viewport.nx'"),
+        ("viewport", {"ny": 0}, "'viewport.ny'"),
+        ("viewport", {"width": float("nan")}, "'viewport'.*finite"),
+    ],
+)
+def test_parse_error_names_viewport_and_image_keys(field, value, match):
+    # a typo, a non-integer resolution or a NaN window is refused, not
+    # replaced by a default or left to put all mass outside the grid
+    with pytest.raises(ConfigError, match=match):
+        parse_config(base_config(**{field: value}))
+
+
 def test_flag_overrides_beat_file():
     parsed = parse_config(base_config(), {"method": "full", "out": "elsewhere"})
     assert parsed.method == "full"
@@ -148,6 +167,32 @@ def test_compare_run_reports_tv(tmp_path):
     assert "hausdorff_support_distance = " in report
     for name in ("cmp.random.grid.txt", "cmp.full.grid.txt", "cmp.random.ppm", "cmp.full.ppm"):
         assert (tmp_path / name).exists()
+
+
+def test_compare_streams_above_block_size(tmp_path):
+    # the same grids, TV and Hausdorff lines whether the depth-6 tree (4^6
+    # atoms) is streamed in one block or in blocks of 64 atoms
+    def run(tag, **extra):
+        cfg = base_config(
+            method="compare",
+            depth=6,
+            n=4000,
+            generators=[
+                {"numerator": [[0, 0], [0, 0], [1, 0]]},
+                {"numerator": [[0, 0], [0, 0], [0.25, 0]]},
+            ],
+            viewport={"center": [0, 0], "width": 9, "height": 9, "nx": 64, "ny": 64},
+            out=str(tmp_path / tag),
+            **extra,
+        )
+        assert execute_run(parse_config(cfg)).exit_code == 0
+        report = (tmp_path / f"{tag}.report.txt").read_text().splitlines()
+        grids = [(tmp_path / f"{tag}.{g}.grid.txt").read_bytes() for g in ("random", "full")]
+        return grids, [line for line in report if line.startswith(("total_var", "hausdorff"))]
+
+    grids, lines = run("whole")
+    assert len(lines) == 2
+    assert run("blocks", max_atoms=64) == (grids, lines)
 
 
 @pytest.mark.parametrize("method", ["random", "full", "compare"])
@@ -260,6 +305,16 @@ def test_main_exceptional_start_exit_2(tmp_path, capsys):
     path = write_config(tmp_path, base_config(a=[0.0, 0.0], out=str(tmp_path / "x")))
     assert main(["run", "--config", path]) == 2
     assert "exceptional" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("start", ["[1e309, 0]", "[NaN, 0]", "[0, -Infinity]"])
+def test_main_non_finite_start_exit_2(tmp_path, capsys, start):
+    # JSON reads 1e309 as inf; neither inf nor NaN is a sphere point
+    text = json.dumps(base_config(a="START", out=str(tmp_path / "x")))
+    path = tmp_path / "cfg.json"
+    path.write_text(text.replace('"START"', start))
+    assert main(["run", "--config", str(path)]) == 2
+    assert "'a'" in capsys.readouterr().err
 
 
 def test_main_flag_override_applies(tmp_path):

@@ -105,6 +105,24 @@ def test_grid_validation():
         Viewport(center=0j, width=0.0, height=1.0, nx=2, ny=2)
 
 
+@pytest.mark.parametrize(
+    "window",
+    [
+        {"width": math.nan},
+        {"height": math.nan},
+        {"width": math.inf},
+        {"height": math.inf},
+        {"center": complex(math.inf, 0)},
+        {"center": complex(0, -math.inf)},
+        {"center": complex(math.nan, 0)},
+    ],
+)
+def test_viewport_refuses_non_finite_window(window):
+    # a NaN width passes "width <= 0" and would put all mass outside
+    with pytest.raises(ValueError, match="finite"):
+        Viewport(**{"center": 0j, "width": 4.0, "height": 4.0, "nx": 2, "ny": 2, **window})
+
+
 # ---------------------------------------------------------------------------
 # total variation
 
