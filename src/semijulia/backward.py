@@ -38,7 +38,6 @@ __all__ = [
     "BackwardOrbit",
     "DEFAULT_ATOM_BUDGET",
     "DEFAULT_BURN_IN",
-    "DEFAULT_TREE_BLOCK",
     "full_backward_tree",
     "tree_atoms",
     "tree_blocks",
@@ -49,8 +48,6 @@ __all__ = [
 
 DEFAULT_ATOM_BUDGET = 2**24
 DEFAULT_BURN_IN = 100
-# atoms per block of a streamed tree (see tree_blocks)
-DEFAULT_TREE_BLOCK = 2**16
 
 
 class BudgetExceeded(RuntimeError):

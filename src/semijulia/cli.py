@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
-from .backward import DEFAULT_BURN_IN, DEFAULT_TREE_BLOCK, run_chains, tree_atoms
+from .backward import DEFAULT_BURN_IN, run_chains, tree_atoms
 from .measure import (
     Viewport,
     bin_cloud,
@@ -68,7 +68,6 @@ class RunConfig:
     background: tuple[int, int, int] = (0, 0, 0)
     foreground: tuple[int, int, int] = (255, 255, 255)
     out_prefix: str = "semijulia_out"
-    max_atoms: int = DEFAULT_TREE_BLOCK
     only: list[str] | None = None
 
     def image_spec(self) -> ImageSpec:
@@ -116,7 +115,6 @@ class RunConfig:
                 "foreground": list(self.foreground),
             },
             "out": self.out_prefix,
-            "max_atoms": self.max_atoms,
         }
 
 
@@ -260,7 +258,9 @@ def parse_config(raw: dict, overrides: dict | None = None) -> RunConfig:
     depth = _int_field(raw, "depth", 8, 0)
     burn_in = _int_field(raw, "burn_in", DEFAULT_BURN_IN, 0)
     chains = _int_field(raw, "chains", 4, 1)
-    max_atoms = _int_field(raw, "max_atoms", DEFAULT_TREE_BLOCK, 1)
+    # the old tree budget: still accepted so older configs load, but the
+    # full tree is always streamed, so it sets nothing
+    _int_field(raw, "max_atoms", 1, 1)
     base_seed = raw.get("seed", 0)
     if not isinstance(base_seed, int) or isinstance(base_seed, bool):
         raise ConfigError(f"field 'seed': expected integer, got {base_seed!r}")
@@ -328,7 +328,6 @@ def parse_config(raw: dict, overrides: dict | None = None) -> RunConfig:
         background=rgb("background", (0, 0, 0)),
         foreground=rgb("foreground", (255, 255, 255)),
         out_prefix=out_prefix,
-        max_atoms=max_atoms,
     )
 
 
@@ -422,15 +421,10 @@ def execute_run(config: RunConfig) -> RunResult:
     if config.method in ("full", "compare"):
         report_lines.append(
             f"full method: depth {config.depth} ({d**config.depth} atoms of total "
-            f"degree {d}), streamed in blocks of at most {config.max_atoms} atoms"
+            f"degree {d}), streamed to the grid block by block"
         )
         grids["full"] = full_tree_grid(
-            config.semigroup,
-            config.a,
-            config.depth,
-            config.viewport,
-            chunk=config.max_atoms,
-            check_start=False,
+            config.semigroup, config.a, config.depth, config.viewport, check_start=False
         )
     for tag, grid in grids.items():
         emit(tag if len(grids) > 1 else "", grid)

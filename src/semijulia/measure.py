@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .backward import DEFAULT_TREE_BLOCK, BackwardOrbit, EmptyTail, WeightedPointCloud, tree_blocks
+from .backward import BackwardOrbit, EmptyTail, WeightedPointCloud, tree_blocks
 from .ratmap import preimages_batch
 from .semigroup import Semigroup, validate_assumptions
 from .sphere import SpherePoint, ensure_point, is_inf, to_arrays
@@ -146,7 +146,7 @@ def full_tree_grid(
     depth: int,
     vp: Viewport,
     *,
-    chunk: int = DEFAULT_TREE_BLOCK,
+    chunk: int = 2**16,
     check_start: bool = True,
 ) -> GridMeasure:
     """Bin the full backward tree of the given depth without materializing it.

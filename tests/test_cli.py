@@ -169,30 +169,30 @@ def test_compare_run_reports_tv(tmp_path):
         assert (tmp_path / name).exists()
 
 
-def test_compare_streams_above_block_size(tmp_path):
-    # the same grids, TV and Hausdorff lines whether the depth-6 tree (4^6
-    # atoms) is streamed in one block or in blocks of 64 atoms
-    def run(tag, **extra):
-        cfg = base_config(
-            method="compare",
-            depth=6,
-            n=4000,
-            generators=[
-                {"numerator": [[0, 0], [0, 0], [1, 0]]},
-                {"numerator": [[0, 0], [0, 0], [0.25, 0]]},
-            ],
-            viewport={"center": [0, 0], "width": 9, "height": 9, "nx": 64, "ny": 64},
-            out=str(tmp_path / tag),
-            **extra,
-        )
-        assert execute_run(parse_config(cfg)).exit_code == 0
-        report = (tmp_path / f"{tag}.report.txt").read_text().splitlines()
-        grids = [(tmp_path / f"{tag}.{g}.grid.txt").read_bytes() for g in ("random", "full")]
-        return grids, [line for line in report if line.startswith(("total_var", "hausdorff"))]
-
-    grids, lines = run("whole")
-    assert len(lines) == 2
-    assert run("blocks", max_atoms=64) == (grids, lines)
+def test_compare_runs_above_one_tree_block(tmp_path):
+    # the depth-9 tree (4^9 atoms) spans several streamed blocks; compare
+    # samples its support by atom index, and an old config's max_atoms
+    # budget is accepted but no longer stops the job
+    cfg = base_config(
+        method="compare",
+        depth=9,
+        n=4000,
+        generators=[
+            {"numerator": [[0, 0], [0, 0], [1, 0]]},
+            {"numerator": [[0, 0], [0, 0], [0.25, 0]]},
+        ],
+        viewport={"center": [0, 0], "width": 9, "height": 9, "nx": 64, "ny": 64},
+        max_atoms=64,
+        out=str(tmp_path / "cmp"),
+    )
+    result = execute_run(parse_config(cfg))
+    assert result.exit_code == 0
+    assert 0 < result.metrics["hausdorff_support_distance"] < 1
+    report = (tmp_path / "cmp.report.txt").read_text()
+    assert "262144 atoms" in report and "streamed" in report
+    assert "max_atoms" not in report  # the effective config drops the dead key
+    full = grid_from_text((tmp_path / "cmp.full.grid.txt").read_text())
+    assert abs(full.total_mass - 1.0) <= 1e-12
 
 
 @pytest.mark.parametrize("method", ["random", "full", "compare"])

@@ -412,6 +412,16 @@ def test_full_tree_grid_matches_materialized():
     assert streamed.outside_mass == pytest.approx(direct.outside_mass, abs=1e-12)
 
 
+def test_full_tree_grid_block_size_keeps_dyadic_cells():
+    # annulus masses are dyadic, so the 4^6 atoms sum to the same bytes in
+    # one block or in blocks of 64
+    sg, vp = annulus_sg(), Viewport(center=0j, width=9.0, height=9.0, nx=64, ny=64)
+    whole = full_tree_grid(sg, 1, 6, vp)
+    blocks = full_tree_grid(sg, 1, 6, vp, chunk=64)
+    assert blocks.cells.tobytes() == whole.cells.tobytes()
+    assert blocks.outside_mass == whole.outside_mass
+
+
 def test_full_tree_grid_scalar_generators():
     # (z^2+1)/z, and (z^2+1)/(z^2+2), whose tree has INF atoms
     for den in ([0, 1], [2, 0, 1]):
