@@ -129,14 +129,29 @@ class RunResult:
 # config parsing
 
 
+def _is_number(value) -> bool:
+    # JSON true/false decode to bool, a subclass of int, and are no numbers;
+    # nor is an integer literal too large to become a float
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return isinstance(value, float) or abs(value) <= sys.float_info.max
+
+
 def _complex_pair(value, where: str) -> complex:
     if (
         not isinstance(value, (list, tuple))
         or len(value) != 2
-        or not all(isinstance(v, (int, float)) for v in value)
+        or not all(_is_number(v) for v in value)
     ):
         raise ConfigError(f"field '{where}': expected [re, im] pair, got {value!r}")
     return complex(value[0], value[1])
+
+
+def _number_field(raw: dict, key: str, default: float, where: str = "") -> float:
+    value = raw.get(key, default)
+    if not _is_number(value):
+        raise ConfigError(f"field '{where}{key}': expected a number, got {value!r}")
+    return float(value)
 
 
 def _coeff_list(value, where: str) -> list[complex]:
@@ -278,14 +293,11 @@ def parse_config(raw: dict, overrides: dict | None = None) -> RunConfig:
     vp_raw = _object_field(raw, "viewport", {"center", "width", "height", "nx", "ny"})
     nx = _int_field(vp_raw, "nx", 512, 1, "viewport.")
     ny = _int_field(vp_raw, "ny", 512, 1, "viewport.")
+    center = _complex_pair(vp_raw.get("center", [0, 0]), "viewport.center")
+    width = _number_field(vp_raw, "width", 4.0, "viewport.")
+    height = _number_field(vp_raw, "height", 4.0, "viewport.")
     try:
-        viewport = Viewport(
-            center=_complex_pair(vp_raw.get("center", [0, 0]), "viewport.center"),
-            width=float(vp_raw.get("width", 4.0)),
-            height=float(vp_raw.get("height", 4.0)),
-            nx=nx,
-            ny=ny,
-        )
+        viewport = Viewport(center=center, width=width, height=height, nx=nx, ny=ny)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"field 'viewport': {exc}") from exc
 
@@ -304,7 +316,9 @@ def parse_config(raw: dict, overrides: dict | None = None) -> RunConfig:
         if (
             not isinstance(v, (list, tuple))
             or len(v) != 3
-            or not all(isinstance(c, int) and 0 <= c <= 255 for c in v)
+            or not all(
+                isinstance(c, int) and not isinstance(c, bool) and 0 <= c <= 255 for c in v
+            )
         ):
             raise ConfigError(f"field 'image.{key}': expected RGB triple 0..255")
         return tuple(v)
@@ -498,7 +512,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         except FileNotFoundError:
             print(f"config error: no such file: {args.config}", file=sys.stderr)
             return 2
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also an integer beyond Python's digit limit
             print(f"config error: invalid JSON in {args.config}: {exc}", file=sys.stderr)
             return 2
         overrides = {

@@ -9,6 +9,7 @@ surrogates used to compare approximations at fixed resolution.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -67,6 +68,11 @@ class Viewport:
             raise ValueError("viewport center, width and height must be finite")
         if self.width <= 0 or self.height <= 0:
             raise ValueError("viewport width and height must be positive")
+        if not all(
+            isinstance(n, numbers.Integral) and not isinstance(n, bool)
+            for n in (self.nx, self.ny)
+        ):
+            raise ValueError(f"grid resolution must be integers, got {self.nx!r}, {self.ny!r}")
         if self.nx < 1 or self.ny < 1:
             raise ValueError("grid resolution must be at least 1x1")
 

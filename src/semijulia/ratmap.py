@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .sphere import INF, SpherePoint, chordal_distance, is_inf, to_arrays
+from .sphere import INF, SpherePoint, is_inf, to_arrays
 
 __all__ = [
     "SolverDivergence",
@@ -32,8 +32,9 @@ __all__ = [
 _LEAD_DROP = 1e-14
 
 _RESIDUAL_TOL = 1e-12
-# Relative backward error below which a root of one polynomial of a map
-# counts as a root of the other as well (a common factor).
+# Smallest over largest singular value of the Sylvester matrix of a map's
+# unit-scaled numerator and denominator at or below which the two count as
+# sharing a root (a common factor).
 _SHARED_ROOT_TOL = 1e-10
 _MAX_SWEEPS = 500
 
@@ -94,17 +95,6 @@ def _horner(coeffs: Sequence[complex], z: complex) -> complex:
     for c in reversed(coeffs):
         acc = acc * z + c
     return acc
-
-
-def _backward_error(coeffs: Sequence[complex], z: complex) -> float:
-    """|p(z)| relative to sum_k |c_k| |z|^k: the smallest relative change of
-    the coefficients that makes z an exact root of p."""
-    az = abs(z)
-    scale = 0.0
-    for c in reversed(coeffs):
-        scale = scale * az + abs(c)
-    value = abs(_horner(coeffs, z))
-    return value / scale if scale > 0.0 else 0.0
 
 
 def _quadratic_roots(a: complex, b: complex, c: complex) -> list[complex]:
@@ -226,6 +216,16 @@ def _roots(cs: list[complex]) -> list[complex]:
     return _aberth_roots(cs)
 
 
+def _unit_scaled(coeffs: Sequence[complex]) -> np.ndarray:
+    """The coefficients divided by their largest modulus: first their real
+    and imaginary parts by the largest part, so no modulus overflows and no
+    subnormal divisor is inverted."""
+    c = np.array(coeffs, dtype=complex)
+    parts = c.view(float)
+    parts /= np.abs(parts).max()
+    return c / np.abs(c).max()
+
+
 @dataclass
 class RationalMap:
     """Ratio of two polynomials sharing no root; degree = max of the two."""
@@ -240,25 +240,19 @@ class RationalMap:
         self.degree = max(dn, dd)
         if self.degree < 1:
             raise ValueError("rational map must have degree >= 1")
-        if dn >= 1 and dd >= 1:
-            num = self.numerator.coeffs
-            den = self.denominator.coeffs
-            nroots = polynomial_roots(num)
-            droots = polynomial_roots(den)
-            # a root of multiplicity m comes out of the solver as a cluster
-            # about eps**(1/m) wide, too loose for the distance test alone;
-            # so each polynomial is also evaluated at the other's roots, and
-            # at the side with the lower multiplicity, whose roots come out
-            # sharp, its backward error shows the common factor
-            shared = (
-                [r for r in nroots for s in droots if chordal_distance(r, s) <= 1e-10]
-                + [r for r in nroots if _backward_error(den, r) <= _SHARED_ROOT_TOL]
-                + [s for s in droots if _backward_error(num, s) <= _SHARED_ROOT_TOL]
-            )
-            if shared:
-                raise ValueError(
-                    f"numerator and denominator share a root near {shared[0]!r}"
-                )
+        # the two share a root exactly when their Sylvester matrix is
+        # singular, and lie near a common factor when it is nearly so
+        # (relative to coefficients of unit size on both sides)
+        num = _unit_scaled(self.numerator.coeffs)
+        den = _unit_scaled(self.denominator.coeffs)
+        sylvester = np.zeros((dn + dd, dn + dd), dtype=complex)
+        for i in range(dd):
+            sylvester[i, i : i + dn + 1] = num
+        for i in range(dn):
+            sylvester[dd + i, i : i + dd + 1] = den
+        sv = np.linalg.svd(sylvester, compute_uv=False)
+        if sv[-1] <= _SHARED_ROOT_TOL * sv[0]:
+            raise ValueError("numerator and denominator share a root")
         pad = self.degree + 1
         nc = list(self.numerator.coeffs) + [0j] * (pad - len(self.numerator.coeffs))
         dc = list(self.denominator.coeffs) + [0j] * (pad - len(self.denominator.coeffs))

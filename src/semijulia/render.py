@@ -8,6 +8,7 @@ maps; empty cells always get the exact background color.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,7 +59,10 @@ class ImageSpec:
             raise ValueError(f"unknown scale {self.scale!r}; choose from {SCALES}")
         for name in ("background", "foreground"):
             rgb = getattr(self, name)
-            if len(rgb) != 3 or any(not (0 <= int(v) <= 255) for v in rgb):
+            if len(rgb) != 3 or not all(
+                isinstance(v, numbers.Integral) and not isinstance(v, bool) and 0 <= v <= 255
+                for v in rgb
+            ):
                 raise ValueError(f"{name} must be an RGB triple of 0..255 ints")
             object.__setattr__(self, name, tuple(int(v) for v in rgb))
 

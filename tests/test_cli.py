@@ -70,8 +70,15 @@ def test_parse_error_duplicate_seeds():
 
 
 def test_parse_error_bad_complex_pair():
-    with pytest.raises(ConfigError, match="generators\\[0\\]"):
-        parse_config(base_config(generators=[{"numerator": [[0, 0], "x"]}]))
+    # JSON true/false decode to bool, an int subclass, but are no numbers
+    for overrides, match in [
+        ({"generators": [{"numerator": [[0, 0], "x"]}]}, "generators\\[0\\]"),
+        ({"generators": [{"numerator": [[0, 0], [0, 0], [True, 0]]}]}, "generators\\[0\\]"),
+        ({"a": [True, False]}, "'a'"),
+        ({"a": [10**400, 0]}, "'a'"),
+    ]:
+        with pytest.raises(ConfigError, match=match):
+            parse_config(base_config(**overrides))
 
 
 def test_parse_error_degenerate_generator():
@@ -97,11 +104,17 @@ def test_parse_default_seeds_from_base_seed():
         ("viewport", {"nx": "64"}, "'viewport.nx'"),
         ("viewport", {"ny": 0}, "'viewport.ny'"),
         ("viewport", {"width": float("nan")}, "'viewport'.*finite"),
+        ("viewport", {"width": True}, "'viewport.width'"),
+        ("viewport", {"height": "9"}, "'viewport.height'"),
+        ("viewport", {"width": 10**400}, "'viewport.width'"),
+        ("viewport", {"center": [0, True]}, "'viewport.center'"),
+        ("image", {"background": [True, 0, 0]}, "'image.background'"),
     ],
 )
 def test_parse_error_names_viewport_and_image_keys(field, value, match):
-    # a typo, a non-integer resolution or a NaN window is refused, not
-    # replaced by a default or left to put all mass outside the grid
+    # a typo, a non-integer resolution, a non-number or a NaN window is
+    # refused, not coerced, replaced by a default or left to put all mass
+    # outside the grid
     with pytest.raises(ConfigError, match=match):
         parse_config(base_config(**{field: value}))
 
@@ -296,9 +309,11 @@ def test_main_missing_config_exit_2(tmp_path, capsys):
 
 def test_main_invalid_json_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    assert main(["run", "--config", str(bad)]) == 2
-    assert "invalid JSON" in capsys.readouterr().err
+    # the second: a 5000-digit integer, past the int conversion limit
+    for text in ["{not json", '{"seed": ' + "7" * 5000 + "}"]:
+        bad.write_text(text)
+        assert main(["run", "--config", str(bad)]) == 2
+        assert "invalid JSON" in capsys.readouterr().err
 
 
 def test_main_exceptional_start_exit_2(tmp_path, capsys):

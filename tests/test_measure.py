@@ -123,6 +123,15 @@ def test_viewport_refuses_non_finite_window(window):
         Viewport(**{"center": 0j, "width": 4.0, "height": 4.0, "nx": 2, "ny": 2, **window})
 
 
+@pytest.mark.parametrize(
+    "nx, ny", [(8.7, 8), (8, 8.0), (True, 8), (8, False), ("8", 8), (8, None)]
+)
+def test_viewport_refuses_non_integer_resolution(nx, ny):
+    # unchecked, 8.7 would fail only later, as a cells-shape mismatch
+    with pytest.raises(ValueError, match="integers"):
+        Viewport(0j, 4.0, 4.0, nx, ny)
+
+
 # ---------------------------------------------------------------------------
 # total variation
 

@@ -59,16 +59,32 @@ def test_rational_map_rejects_common_roots():
     [
         ([0, 1j], [0, 0, 0, 0, 0, 0, 1j]),  # z / z^6
         ([-1, 1], [1, -6, 15, -20, 15, -6, 1]),  # (z-1) / (z-1)^6
+        ([0, 0, 0, 0, 1j], [0, 0, 0, 0, 0, 0, 1j]),  # z^4 / z^6
+        ([0, 0, 0, 0, 1], [0, 0, 0, 0, 0, 1, 1]),  # z^4 / (z^6 + z^5)
     ],
-    ids=["z/z^6", "(z-1)/(z-1)^6"],
+    ids=["z/z^6", "(z-1)/(z-1)^6", "z^4/z^6", "z^4/(z^6+z^5)"],
 )
 def test_rational_map_rejects_root_shared_with_multiple_root(num, den):
-    # the sixfold root comes out of the solver as a cluster about 1e-2 wide,
-    # far outside the 1e-10 distance test; the backward error still sees it
+    # a root of multiplicity m comes out of a root solver as a cluster about
+    # eps**(1/m) wide, and a monomial's relative backward error is 1 at every
+    # point; neither hides a common factor from the Sylvester matrix
     with pytest.raises(ValueError, match="share a root"):
         rational_map(num, den)
     with pytest.raises(ValueError, match="share a root"):
         rational_map(den, num)
+
+
+def test_rational_map_shared_root_test_is_relative_to_scale():
+    # the roots 1e-8 and 2e-8 are 1e-8 apart but distinct at their own
+    # scale; 1000 and 1000 + 1e-7 are 1e-10 apart relative to theirs
+    rational_map([-1e-8, 1], [-2e-8, 1])
+    with pytest.raises(ValueError, match="share a root"):
+        rational_map([-1000, 1], [-1000 - 1e-7, 1])
+    # so is the common root -1 at coefficients whose modulus overflows or
+    # that are subnormal
+    for c in (1.5e308 + 1.5e308j, 1e-320):
+        with pytest.raises(ValueError, match="share a root"):
+            rational_map([c, c], [1, 1])
 
 
 @pytest.mark.parametrize("scale", [1e200, 1e300, 1e-200, 1e-300])

@@ -129,6 +129,17 @@ def test_spec_validation():
         ImageSpec(viewport=vp(), background=(0, 0, 999))
 
 
+@pytest.mark.parametrize(
+    "rgb", [(True, 1, 7), (0, 1.9, 7), (0, 1, "7"), (0, 1, 7.0), (0, np.float64(1), 7)]
+)
+def test_spec_refuses_non_int_rgb(rgb):
+    # int() would turn (True, 1.9, '7') into (1, 1, 7) silently
+    with pytest.raises(ValueError, match="RGB"):
+        ImageSpec(viewport=vp(), background=rgb)
+    with pytest.raises(ValueError, match="RGB"):
+        ImageSpec(viewport=vp(), foreground=rgb)
+
+
 def test_circle_run_lights_annulus_only():
     sg = Semigroup((rational_map([0, 0, 1]),))
     orbit = random_backward_orbit(sg, 1, 20_000, seed=66)
