@@ -18,7 +18,7 @@ SEED = 13
 def main() -> None:
     sg = Semigroup((rational_map([-2, 0, 1]),))
     orbit = random_backward_orbit(sg, 0, N_STEPS, seed=SEED)
-    xs = np.sort(np.asarray(empirical_measure(orbit, BURN_IN).points, complex).real)
+    xs = np.sort(empirical_measure(orbit, BURN_IN).zs.real)
 
     cdf = 0.5 + np.arcsin(np.clip(xs / 2, -1, 1)) / np.pi
     i = np.arange(1, xs.size + 1)

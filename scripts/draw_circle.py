@@ -41,7 +41,7 @@ def main() -> None:
         out_dir / "circle.ppm",
     )
 
-    pts = np.asarray(cloud.points, dtype=complex)
+    pts = cloud.zs
     freq = np.histogram(np.mod(np.angle(pts), 2 * np.pi), bins=36,
                         range=(0, 2 * np.pi))[0] / pts.size
     print(f"radius spread: {np.abs(np.abs(pts) - 1).max():.2e}")

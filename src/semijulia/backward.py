@@ -22,7 +22,6 @@ import numpy as np
 
 from .ratmap import preimages, preimages_batch
 from .semigroup import (
-    IndexDistribution,
     Semigroup,
     build_index_distribution,
     make_rng,
@@ -267,7 +266,6 @@ def random_backward_orbit(
     n: int,
     seed: int,
     *,
-    dist: IndexDistribution | None = None,
     check_start: bool = True,
 ) -> BackwardOrbit:
     """Length-n random backward orbit: symbols drawn i.i.d. from the branch
@@ -279,8 +277,7 @@ def random_backward_orbit(
         validate_assumptions(sg, start)
     if n < 1:
         raise ValueError("orbit length must be >= 1")
-    if dist is None:
-        dist = build_index_distribution(sg)
+    dist = build_index_distribution(sg)
     symbols = sample_branch_block(dist, make_rng(seed), n).tolist()
     decode = dist.decode
     gens = sg.generators
@@ -344,7 +341,6 @@ class _ChainJobs:
     n: int
     burn_in: int
     seeds: list[int]
-    dist: IndexDistribution
     zs: np.ndarray
     at_inf: np.ndarray
 
@@ -352,7 +348,7 @@ class _ChainJobs:
 def _run_chain(jobs: _ChainJobs, k: int) -> None:
     """Chain ``jobs.seeds[k]``: its post-burn-in tail into row k."""
     orbit = random_backward_orbit(
-        jobs.sg, jobs.start, jobs.n, jobs.seeds[k], dist=jobs.dist, check_start=False
+        jobs.sg, jobs.start, jobs.n, jobs.seeds[k], check_start=False
     )
     jobs.zs[k] = orbit.zs[jobs.burn_in :]
     jobs.at_inf[k] = orbit.at_inf[jobs.burn_in :]
@@ -420,7 +416,6 @@ def run_chains(
         n_per_chain,
         burn_in,
         seeds,
-        build_index_distribution(sg),
         zs.reshape(n_chains, tail),
         at_inf.reshape(n_chains, tail),
     )

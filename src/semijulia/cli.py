@@ -34,7 +34,7 @@ from .semigroup import (
     make_rng,
     validate_assumptions,
 )
-from .sphere import SpherePoint, ensure_point, from_arrays
+from .sphere import SpherePoint, ensure_point
 
 __all__ = ["ConfigError", "RunConfig", "RunResult", "parse_config", "execute_run", "main"]
 
@@ -226,6 +226,8 @@ def parse_config(raw: dict, overrides: dict | None = None) -> RunConfig:
         # verification runs built-in examples; a semigroup is not required
         placeholder = Semigroup((rational_map([0, 0, 1]),))
         return RunConfig(semigroup=placeholder, a=1 + 0j, method="verify", only=only)
+    if "only" in raw:
+        raise ConfigError(f"field 'only': selects criteria of method 'verify', not {method!r}")
 
     gens_raw = raw.get("generators")
     if not isinstance(gens_raw, list) or not gens_raw:
@@ -374,11 +376,6 @@ def _sample_indices(n: int, cap: int = 4096):
     return idx
 
 
-def _support_sample(zs, at_inf) -> list:
-    idx = _sample_indices(zs.size)
-    return from_arrays(zs[idx], at_inf[idx])
-
-
 def execute_run(config: RunConfig) -> RunResult:
     """Run one configured job and write its artifacts; returns paths and the
     headline numbers."""
@@ -445,9 +442,10 @@ def execute_run(config: RunConfig) -> RunResult:
     if config.method == "compare":
         tv = total_variation(grids["full"], grids["random"])
         idx = _sample_indices(d**config.depth)
+        jdx = _sample_indices(cloud.zs.size)
         hd = hausdorff_distance(
-            from_arrays(*tree_atoms(config.semigroup, config.a, config.depth, idx)),
-            _support_sample(cloud.zs, cloud.at_inf),
+            tree_atoms(config.semigroup, config.a, config.depth, idx),
+            (cloud.zs[jdx], cloud.at_inf[jdx]),
         )
         metrics["total_variation"] = tv
         metrics["hausdorff_support_distance"] = hd

@@ -18,7 +18,7 @@ import numpy as np
 from .backward import BackwardOrbit, EmptyTail, WeightedPointCloud, tree_blocks
 from .ratmap import preimages_batch
 from .semigroup import Semigroup, validate_assumptions
-from .sphere import SpherePoint, ensure_point, is_inf, to_arrays
+from .sphere import SpherePoint, ensure_point
 
 __all__ = [
     "ViewportMismatch",
@@ -191,26 +191,30 @@ def total_variation(g1: GridMeasure, g2: GridMeasure) -> float:
 # ---------------------------------------------------------------------------
 # chordal geometry on point sets
 
+# a point set as arrays: point k is zs[k], or infinity where at_inf[k] is set
+Points = tuple[np.ndarray, np.ndarray]
 
-def _embed(points: Sequence[SpherePoint]) -> np.ndarray:
+
+def _embed(points: Points) -> np.ndarray:
     """Isometric embedding into R^3: chordal distance = Euclidean distance
     between images on the unit sphere."""
-    zs, at_inf = to_arrays(points)
+    zs, at_inf = points
     x = zs.real
     y = zs.imag
-    r2 = x * x + y * y
-    big = at_inf | (r2 > 1e300)
-    s = 1.0 + np.where(big, 1.0, r2)
-    out = np.empty((len(points), 3))
-    out[:, 0] = np.where(big, 0.0, 2.0 * x / s)
-    out[:, 1] = np.where(big, 0.0, 2.0 * y / s)
-    out[:, 2] = np.where(big, 1.0, (r2 - 1.0) / s)
+    out = np.empty((zs.size, 3))
+    # past |x| ~ 1.3e154 the squares overflow to inf, so those points are
+    # huge too; the finite-point formulas are then discarded
+    with np.errstate(over="ignore"):
+        r2 = x * x + y * y
+        big = at_inf | (r2 > 1e300)
+        s = 1.0 + np.where(big, 1.0, r2)
+        out[:, 0] = np.where(big, 0.0, 2.0 * x / s)
+        out[:, 1] = np.where(big, 0.0, 2.0 * y / s)
+        out[:, 2] = np.where(big, 1.0, (r2 - 1.0) / s)
     return out
 
 
-def min_distances(
-    points: Sequence[SpherePoint], reference: Sequence[SpherePoint], *, chunk: int = 128
-) -> np.ndarray:
+def min_distances(points: Points, reference: Points, *, chunk: int = 128) -> np.ndarray:
     """Chordal distance from each point to the nearest reference point.
 
     Embedding images are unit vectors, so the nearest reference maximizes the
@@ -219,14 +223,12 @@ def min_distances(
     misrank references closer together than ~1e-8, bounding the result within
     that of the true minimum (from above).
     """
-    if len(reference) == 0:
+    if reference[0].size == 0:
         raise EmptySet("reference set is empty")
-    if len(points) == 0:
-        return np.empty(0)
     pe = _embed(points)
     re_ = _embed(reference)
-    out = np.empty(len(points))
-    for i in range(0, len(points), chunk):
+    out = np.empty(len(pe))
+    for i in range(0, len(pe), chunk):
         block = pe[i : i + chunk]
         nearest = (block @ re_.T).argmax(axis=1)
         diff = block - re_[nearest]
@@ -234,33 +236,33 @@ def min_distances(
     return out
 
 
-def hausdorff_distance(
-    a_points: Sequence[SpherePoint], b_points: Sequence[SpherePoint]
-) -> float:
+def hausdorff_distance(a_points: Points, b_points: Points) -> float:
     """max(sup_a dist(a, B), sup_b dist(b, A)) in the chordal metric."""
-    if len(a_points) == 0 or len(b_points) == 0:
+    if a_points[0].size == 0 or b_points[0].size == 0:
         raise EmptySet("Hausdorff distance needs two nonempty sets")
     forward = float(min_distances(a_points, b_points).max())
     backward = float(min_distances(b_points, a_points).max())
     return max(forward, backward)
 
 
-def circle_chordal_distance(p: SpherePoint, radius: float = 1.0) -> float:
-    """Exact chordal distance from a point to the full circle |z| = radius
-    (no sampling gap; the minimum is attained at the same argument)."""
-    if is_inf(p):
-        return 2.0 / math.hypot(1.0, radius)
-    r = abs(p)
-    return 2.0 * abs(r - radius) / (math.hypot(1.0, r) * math.hypot(1.0, radius))
-
-
-def distance_decay_profile(
-    orbit: BackwardOrbit, reference: Sequence[SpherePoint]
+def circle_chordal_distance(
+    zs: np.ndarray, at_inf: np.ndarray, radius: float = 1.0
 ) -> np.ndarray:
+    """Exact chordal distance from each point to the full circle |z| = radius
+    (no sampling gap; the minimum is attained at the same argument)."""
+    ar = math.hypot(1.0, radius)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # |z| is inf where it overflows a double; such points are at infinity
+        r = np.abs(zs)
+        near = 2.0 * np.abs(r - radius) / (np.hypot(1.0, r) * ar)
+    return np.where(at_inf | np.isinf(r), 2.0 / ar, near)
+
+
+def distance_decay_profile(orbit: BackwardOrbit, reference: Points) -> np.ndarray:
     """Chordal distance from each orbit point to the reference set, in step
     order.  Diagnostic only: no monotonicity implied, only eventual
     smallness when the reference approximates the Julia set."""
-    return min_distances(orbit.points, reference)
+    return min_distances((orbit.zs, orbit.at_inf), reference)
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +321,8 @@ def sphere_im(zs: np.ndarray, at_inf: np.ndarray) -> np.ndarray:
 def modulus_ratio(zs: np.ndarray, at_inf: np.ndarray) -> np.ndarray:
     """|z|^2 / (1 + |z|^2), extended by 1 at infinity; bounded and continuous
     on the whole sphere."""
-    r = np.abs(zs)
+    with np.errstate(over="ignore"):
+        r = np.abs(zs)  # inf where |z| overflows a double
     big = at_inf | (r > 1e150)
     r2 = np.where(big, 0.0, r) ** 2
     return np.where(big, 1.0, r2 / (1.0 + r2))
@@ -327,11 +330,16 @@ def modulus_ratio(zs: np.ndarray, at_inf: np.ndarray) -> np.ndarray:
 
 def _chordal_to(zs: np.ndarray, at_inf: np.ndarray, c: complex) -> np.ndarray:
     """:func:`chordal_distance` from every point to the finite point c.
-    hypot never squares |z|, so no finite z overflows."""
+    hypot never squares |z|; where a part of the quotient overflows a double
+    anyway (|z| near the largest double), the point takes the value at
+    infinity."""
     ac = math.hypot(1.0, abs(c))
     z = np.where(at_inf, 0j, zs)
-    near = 2.0 * np.abs(z - c) / (np.hypot(1.0, np.abs(z)) * ac)
-    return np.where(at_inf, 2.0 / ac, near)
+    with np.errstate(over="ignore", invalid="ignore"):
+        num = 2.0 * np.abs(z - c)
+        den = np.hypot(1.0, np.abs(z)) * ac
+        near = num / den
+    return np.where(at_inf | np.isinf(num) | np.isinf(den), 2.0 / ac, near)
 
 
 def _gaussian_bump(center: complex, width: float) -> TestFunction:

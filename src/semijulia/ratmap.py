@@ -284,7 +284,12 @@ def evaluate(f: RationalMap, z: SpherePoint) -> SpherePoint:
         if dn < dd:
             return 0j
         return f.numerator.coeffs[-1] / f.denominator.coeffs[-1]
-    az = abs(z)
+    try:
+        az = abs(z)
+    except OverflowError:
+        # |z| passes the largest double though both parts are finite: a point
+        # chordally within 1e-308 of INF, so a growing f sends it to INF
+        az = math.inf
     if az <= 1.0:
         den = _horner(f.denominator.coeffs, z)
         if den == 0:

@@ -12,7 +12,6 @@ Built-in examples:
 """
 from __future__ import annotations
 
-import cmath
 import math
 import sys
 import tempfile
@@ -311,10 +310,10 @@ def crit_circle_decay(ctx: VerificationContext) -> CriterionResult:
     t0 = time.perf_counter()
     checks = _Checks()
     orbit = random_backward_orbit(ctx.circle_sg, 3, 60, _SEED_DECAY)
-    # points[m-1] is the m-th step; the exact distance to the limit circle
+    # point m-1 is the m-th step; the exact distance to the limit circle
     # is computable in closed form, no sampled reference needed
-    tail = [circle_chordal_distance(z) for z in orbit.points[39:]]
-    checks.le(max(tail), 1e-6, "max dist to unit circle for steps >= 40")
+    tail = circle_chordal_distance(orbit.zs[39:], orbit.at_inf[39:])
+    checks.le(float(tail.max()), 1e-6, "max dist to unit circle for steps >= 40")
     return _finish("circle-decay", checks, t0, budget=1.0)
 
 
@@ -322,8 +321,8 @@ def crit_circle_coverage(ctx: VerificationContext) -> CriterionResult:
     t0 = time.perf_counter()
     checks = _Checks()
     orbit = random_backward_orbit(ctx.circle_sg, 1, 100_000, _SEED_COVERAGE)
-    refs = [cmath.exp(2j * math.pi * k / 4096) for k in range(4096)]
-    gaps = min_distances(refs, orbit.points)
+    refs = np.exp(2j * math.pi * np.arange(4096) / 4096)
+    gaps = min_distances((refs, np.zeros(4096, dtype=bool)), (orbit.zs, orbit.at_inf))
     checks.le(float(gaps.max()), 0.05, "worst circle sample to orbit distance")
     return _finish("circle-coverage", checks, t0, budget=10.0)
 

@@ -47,6 +47,15 @@ def test_parse_error_names_field_b():
         ]))
 
 
+def test_parse_error_only_outside_verify():
+    # 'only' selects verify criteria; other methods refuse it, not ignore it
+    for method in ("random", "full", "compare"):
+        for only in (5, ["circle-decay"]):
+            with pytest.raises(ConfigError, match="'only'"):
+                parse_config(base_config(method=method, only=only))
+    assert parse_config({"method": "verify", "only": ["circle"]}).only == ["circle"]
+
+
 def test_parse_error_unknown_field():
     with pytest.raises(ConfigError, match="unknown field"):
         parse_config(base_config(depht=9))
@@ -210,29 +219,22 @@ def test_compare_runs_above_one_tree_block(tmp_path):
 
 @pytest.mark.parametrize("method", ["random", "full", "compare"])
 def test_jobs_build_no_point_lists(tmp_path, monkeypatch, method):
-    # clouds and orbits carry arrays; their point lists are only built on
-    # demand, and no job asks for one: compare turns only its <= 4096-point
-    # support samples into lists
-    import semijulia.cli as cli
+    # clouds and orbits carry arrays and the measures take arrays: no job
+    # builds a point list, neither a derived one nor through from_arrays
     from semijulia.backward import BackwardOrbit, WeightedPointCloud
 
-    def refuse(self):
-        raise AssertionError(f"{type(self).__name__}.points built on a job path")
+    def refuse(*_):
+        raise AssertionError("a point list built on a job path")
 
     monkeypatch.setattr(WeightedPointCloud, "points", property(refuse))
     monkeypatch.setattr(BackwardOrbit, "points", property(refuse))
-    listed = []
-
-    def from_arrays(zs, at_inf):
-        listed.append(zs.size)
-        return semijulia.sphere.from_arrays(zs, at_inf)
-
-    monkeypatch.setattr(cli, "from_arrays", from_arrays)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("semijulia") and hasattr(module, "from_arrays"):
+            monkeypatch.setattr(module, "from_arrays", refuse)
     cfg = parse_config(
         base_config(method=method, n=4000, depth=13, out=str(tmp_path / method))
     )
     assert execute_run(cfg).exit_code == 0
-    assert listed == ([4096, 4096] if method == "compare" else [])
 
 
 def test_support_sample_does_not_alias_tree_branch_blocks():
@@ -240,20 +242,19 @@ def test_support_sample_does_not_alias_tree_branch_blocks():
     # and lose every high-modulus point; the seeded sample must span them
     import numpy as np
 
-    from semijulia import ProbabilityVector, Semigroup, full_backward_tree, rational_map
-    from semijulia.cli import _support_sample
-    from semijulia.sphere import to_arrays
+    from semijulia import ProbabilityVector, Semigroup, rational_map
+    from semijulia.backward import tree_atoms
+    from semijulia.cli import _sample_indices
 
     sg = Semigroup(
         (rational_map([0, 0, 1]), rational_map([0, 0, 0.25])),
         ProbabilityVector([0.5, 0.5]),
     )
-    tree = full_backward_tree(sg, 1, 8)
-    sample = _support_sample(*to_arrays(tree.points))
-    assert len(sample) == 4096
-    radii = np.abs(np.asarray(sample, complex))
-    assert radii.max() > 3.5
-    assert _support_sample(*to_arrays(sample)) == sample  # small sets pass through
+    zs, at_inf = tree_atoms(sg, 1, 8, _sample_indices(4**8))
+    assert zs.size == 4096 and not at_inf.any()
+    assert np.abs(zs).max() > 3.5
+    small = _sample_indices(4096)
+    assert np.array_equal(small, np.arange(4096))  # small sets pass through
 
 
 def test_identical_config_gives_identical_bytes(tmp_path):

@@ -190,52 +190,76 @@ def test_tv_is_a_metric(a, b, c):
 # hausdorff / distances
 
 
+def unit_circle(n):
+    return np.exp(2j * math.pi * np.arange(n) / n), np.zeros(n, dtype=bool)
+
+
 def test_hausdorff_identical_sets():
-    pts = [0j, 1 + 1j, INF]
+    pts = to_arrays([0j, 1 + 1j, INF])
     assert hausdorff_distance(pts, pts) <= 1e-12
 
 
 def test_hausdorff_two_singletons():
     expected = chordal_distance(0j, 1 + 0j)
-    assert hausdorff_distance([0j], [1 + 0j]) == pytest.approx(expected, abs=1e-9)
+    got = hausdorff_distance(to_arrays([0j]), to_arrays([1 + 0j]))
+    assert got == pytest.approx(expected, abs=1e-9)
 
 
 def test_hausdorff_empty_raises():
     with pytest.raises(EmptySet):
-        hausdorff_distance([], [0j])
+        hausdorff_distance(to_arrays([]), to_arrays([0j]))
 
 
 def test_embedding_matches_scalar_chordal():
     rng = np.random.default_rng(3)
     pts = [complex(a, b) for a, b in rng.uniform(-3, 3, (20, 2))] + [INF]
     refs = [complex(a, b) for a, b in rng.uniform(-3, 3, (15, 2))] + [INF]
-    d = min_distances(pts, refs)
+    d = min_distances(to_arrays(pts), to_arrays(refs))
     for i, p in enumerate(pts):
         expected = min(chordal_distance(p, q) for q in refs)
         assert d[i] == pytest.approx(expected, abs=1e-7)
 
 
+def test_embedding_of_points_past_the_square_overflow():
+    # |z|^2 overflows a double here (and |z| itself for the last point); the
+    # embedding must still place each point at the pole, silently
+    for z in (2e154, 1e200 + 1e200j, 1.7e308 + 1.7e308j):
+        for q in (1 + 0j, 0j, -3 + 4j, INF):
+            expected = chordal_distance(z, q)
+            there = min_distances(to_arrays([z]), to_arrays([q]))
+            back = min_distances(to_arrays([q]), to_arrays([z]))
+            assert there[0] == pytest.approx(expected, abs=1e-12)
+            assert back[0] == pytest.approx(expected, abs=1e-12)
+
+
 def test_orbit_approximates_circle_in_hausdorff():
     orbit = random_backward_orbit(square_sg(), 1, 1024, seed=31)
-    refs = [cmath.exp(2j * math.pi * k / 1024) for k in range(1024)]
-    assert hausdorff_distance(orbit.points, refs) <= 0.1
+    assert hausdorff_distance((orbit.zs, orbit.at_inf), unit_circle(1024)) <= 0.1
 
 
 def test_circle_chordal_distance_closed_form():
-    assert circle_chordal_distance(1 + 0j) == 0.0
-    assert circle_chordal_distance(0j) == pytest.approx(2 / math.sqrt(2))
-    assert circle_chordal_distance(INF) == pytest.approx(2 / math.sqrt(2))
     z = 1.5 * cmath.exp(0.7j)
+    d = circle_chordal_distance(*to_arrays([1 + 0j, 0j, INF, z]))
+    assert d[0] == 0.0
+    assert d[1] == pytest.approx(2 / math.sqrt(2))
+    assert d[2] == pytest.approx(2 / math.sqrt(2))
     brute = min(
         chordal_distance(z, cmath.exp(2j * math.pi * k / 100000)) for k in range(100000)
     )
-    assert circle_chordal_distance(z) == pytest.approx(brute, abs=1e-6)
+    assert d[3] == pytest.approx(brute, abs=1e-6)
+
+
+def test_circle_chordal_distance_radius_and_overflow():
+    zs, at_inf = to_arrays([2 + 0j, 1.7e308 + 1.7e308j, INF])
+    d = circle_chordal_distance(zs, at_inf, radius=2.0)
+    assert d[0] == 0.0
+    # |z| overflows a double: the point is at infinity, without a warning
+    assert d[1] == d[2] == pytest.approx(chordal_distance(INF, 2 + 0j))
 
 
 def test_distance_decay_profile_from_outside():
     orbit = random_backward_orbit(square_sg(), 3, 50, seed=7)
-    refs = [cmath.exp(2j * math.pi * k / 4096) for k in range(4096)]
-    profile = distance_decay_profile(orbit, refs)
+    profile = distance_decay_profile(orbit, unit_circle(4096))
     gap = 2 * math.pi / 4096
     for m, value in enumerate(profile, start=1):
         bound = abs(3 ** (2.0**-m) - 1) + gap
@@ -245,20 +269,19 @@ def test_distance_decay_profile_from_outside():
 
 def test_distance_decay_profile_on_reference():
     orbit = random_backward_orbit(square_sg(), 1, 30, seed=7)
-    refs = [cmath.exp(2j * math.pi * k / 8192) for k in range(8192)]
-    assert distance_decay_profile(orbit, refs).max() <= 2 * math.pi / 8192
+    assert distance_decay_profile(orbit, unit_circle(8192)).max() <= 2 * math.pi / 8192
 
 
 def test_distance_decay_profile_inf_reference_is_just_large():
     orbit = random_backward_orbit(square_sg(), 1, 10, seed=7)
-    profile = distance_decay_profile(orbit, [INF])
+    profile = distance_decay_profile(orbit, to_arrays([INF]))
     assert np.all(profile > 1.0)  # diagnostic garbage in, large values out
 
 
 def test_distance_decay_profile_empty_reference():
     orbit = random_backward_orbit(square_sg(), 1, 10, seed=7)
     with pytest.raises(EmptySet):
-        distance_decay_profile(orbit, [])
+        distance_decay_profile(orbit, to_arrays([]))
 
 
 # ---------------------------------------------------------------------------
@@ -351,6 +374,23 @@ def scalar_test_functions():
         ("bump@1+0j", bump(1 + 0j)),
         ("bump@-1+0j", bump(-1 + 0j)),
     ]
+
+
+def test_test_functions_where_the_modulus_overflows_a_double():
+    # both parts finite, |z| (or twice it) past the largest double: the
+    # bounded test functions take their value at infinity, without a warning
+    zs = np.array([1.7e308 + 1.7e308j, -1e308 - 1.5e308j, 1.2e308 + 1.2e308j, 0j])
+    at_inf = np.array([False, False, False, True])
+    for name, phi in default_test_functions():
+        if name not in ("re", "im"):  # the coordinates are unbounded
+            values = phi(zs, at_inf)
+            assert np.all(values == values[-1]), name
+    # a huge modulus whose formulas fit a double keeps the finite-point value
+    scalar = dict(scalar_test_functions())
+    for z in (1e200 + 1e200j, 1e307 - 1e306j):
+        for name, phi in default_test_functions():
+            value = phi(np.array([z]), np.array([False]))[0]
+            assert value == pytest.approx(scalar[name](z), rel=1e-12), name
 
 
 def scalar_check_invariance(sg, cloud, phis, rng=None, max_atoms=200_000):

@@ -16,7 +16,7 @@ from semijulia.ratmap import (
     preimages_batch,
     rational_map,
 )
-from semijulia.sphere import INF, chordal_distance, is_inf
+from semijulia.sphere import INF, chordal_distance, is_inf, to_arrays
 
 
 def square():
@@ -138,6 +138,16 @@ def test_evaluate_huge_argument_no_nan():
     assert not is_inf(w) and abs(w) <= 1e-150
 
 
+def test_evaluate_where_the_modulus_overflows_a_double():
+    # both parts are finite but |z| is past the largest double, so abs(z)
+    # raises OverflowError
+    z = 1.7e308 + 1.7e308j
+    assert evaluate(square(), z) is INF
+    assert evaluate(rational_map([1, 0, 1], [0, 1]), z) is INF  # (z^2 + 1) / z
+    w = evaluate(rational_map([1], [0, 1]), z)  # 1 / z
+    assert not is_inf(w) and abs(w) <= 1e-300
+
+
 # ---------------------------------------------------------------------------
 # preimages: pinned examples
 
@@ -237,7 +247,7 @@ def test_solution_set_varies_continuously(f, z):
     z = z + 0.137313 - 0.219427j
     a = preimages(f, z)
     b = preimages(f, z + 1e-8)
-    assert hausdorff_distance(a, b) <= 1e-3
+    assert hausdorff_distance(to_arrays(a), to_arrays(b)) <= 1e-3
 
 
 def test_solution_set_holder_branching_at_critical_value():
@@ -246,7 +256,7 @@ def test_solution_set_holder_branching_at_critical_value():
     f = rational_map([1], [0, 0, 0, 1])  # 1 / z^3
     assert preimages(f, 0) == [INF, INF, INF]
     moved = preimages(f, 1e-8)
-    d = hausdorff_distance([INF], moved)
+    d = hausdorff_distance(to_arrays([INF]), to_arrays(moved))
     assert 1e-3 <= d <= 1e-2
 
 
