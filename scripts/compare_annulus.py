@@ -17,7 +17,7 @@ from semijulia import (
     Semigroup,
     Viewport,
     bin_cloud,
-    full_backward_tree,
+    full_tree_grid,
     rational_map,
     render_density,
     run_chains,
@@ -44,7 +44,7 @@ def main() -> None:
     write_image(render_density(chain_grid, spec), out_dir / "annulus_random.ppm")
 
     for depth in (6, 8, 10):
-        tree_grid = bin_cloud(full_backward_tree(sg, 1, depth), vp)
+        tree_grid = full_tree_grid(sg, 1, depth, vp)
         tv = total_variation(tree_grid, chain_grid)
         print(f"depth {depth:2d} ({4**depth:>8d} atoms): TV vs 1M-step chains = {tv:.4f}")
         if depth == 10:

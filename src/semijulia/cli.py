@@ -10,11 +10,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Sequence
 
-from .backward import DEFAULT_BURN_IN, run_chains, tree_atoms
+from .backward import DEFAULT_BURN_IN, EmptyTail, run_chains, tree_atoms
 from .measure import (
     Viewport,
     bin_cloud,
@@ -26,7 +26,7 @@ from .measure import (
     total_variation,
 )
 from .ratmap import SolverDivergence, rational_map
-from .render import COLORMAPS, SCALES, ImageSpec, render_density, write_image
+from .render import ImageSpec, render_density, write_image
 from .semigroup import (
     ExceptionalStartPoint,
     ProbabilityVector,
@@ -62,22 +62,13 @@ class RunConfig:
     burn_in: int = DEFAULT_BURN_IN
     chains: int = 4
     seeds: list[int] = field(default_factory=lambda: [0, 1, 2, 3])
-    viewport: Viewport = Viewport(center=0j, width=4.0, height=4.0, nx=512, ny=512)
-    colormap: str = "fire"
-    scale: str = "log"
-    background: tuple[int, int, int] = (0, 0, 0)
-    foreground: tuple[int, int, int] = (255, 255, 255)
+    image: ImageSpec = ImageSpec(Viewport(center=0j, width=4.0, height=4.0, nx=512, ny=512))
     out_prefix: str = "semijulia_out"
     only: list[str] | None = None
 
-    def image_spec(self) -> ImageSpec:
-        return ImageSpec(
-            viewport=self.viewport,
-            colormap=self.colormap,
-            scale=self.scale,
-            background=self.background,
-            foreground=self.foreground,
-        )
+    @property
+    def viewport(self) -> Viewport:
+        return self.image.viewport
 
     def resolved_dict(self) -> dict:
         """Canonical JSON-ready echo of every effective setting."""
@@ -109,10 +100,10 @@ class RunConfig:
                 "ny": self.viewport.ny,
             },
             "image": {
-                "colormap": self.colormap,
-                "scale": self.scale,
-                "background": list(self.background),
-                "foreground": list(self.foreground),
+                "colormap": self.image.colormap,
+                "scale": self.image.scale,
+                "background": list(self.image.background),
+                "foreground": list(self.image.foreground),
             },
             "out": self.out_prefix,
         }
@@ -147,13 +138,6 @@ def _complex_pair(value, where: str) -> complex:
     return complex(value[0], value[1])
 
 
-def _number_field(raw: dict, key: str, default: float, where: str = "") -> float:
-    value = raw.get(key, default)
-    if not _is_number(value):
-        raise ConfigError(f"field '{where}{key}': expected a number, got {value!r}")
-    return float(value)
-
-
 def _coeff_list(value, where: str) -> list[complex]:
     if not isinstance(value, list) or not value:
         raise ConfigError(
@@ -162,23 +146,32 @@ def _coeff_list(value, where: str) -> list[complex]:
     return [_complex_pair(v, f"{where}[{i}]") for i, v in enumerate(value)]
 
 
-def _int_field(raw: dict, key: str, default: int, minimum: int, where: str = "") -> int:
-    value = raw.get(key, default)
+def _int_field(value, key: str, minimum: int) -> int:
     if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
-        raise ConfigError(
-            f"field '{where}{key}': expected integer >= {minimum}, got {value!r}"
-        )
+        raise ConfigError(f"field '{key}': expected integer >= {minimum}, got {value!r}")
     return value
 
 
-def _object_field(raw: dict, key: str, known: set[str]) -> dict:
+def _object_field(raw: dict, key: str, default, **fixed):
+    """``default`` with ``fixed`` and then the JSON object ``raw[key]`` applied
+    over it, one key at a time, so that the class's own per-field check of a
+    refused value is reported under that key."""
     value = raw.get(key, {})
     if not isinstance(value, dict):
         raise ConfigError(f"field '{key}': expected an object, got {value!r}")
-    unknown = set(value) - known
+    unknown = set(value) - ({f.name for f in fields(default)} - set(fixed))
     if unknown:
         raise ConfigError(f"field '{key}': unknown keys {sorted(unknown)}")
-    return value
+    obj = replace(default, **fixed)
+    for name, v in value.items():
+        where = f"{key}.{name}"
+        if name == "center":  # the one complex field, written as [re, im]
+            v = _complex_pair(v, where)
+        try:
+            obj = replace(obj, **{name: v})
+        except ValueError as exc:
+            raise ConfigError(f"field '{where}': {exc}") from exc
+    return obj
 
 
 _KNOWN_KEYS = {
@@ -213,7 +206,7 @@ def parse_config(raw: dict, overrides: dict | None = None) -> RunConfig:
     if unknown:
         raise ConfigError(f"unknown field(s): {sorted(unknown)}")
 
-    method = raw.get("method", "random")
+    method = raw.get("method", RunConfig.method)
     if method not in METHODS:
         raise ConfigError(f"field 'method': expected one of {METHODS}, got {method!r}")
 
@@ -271,13 +264,15 @@ def parse_config(raw: dict, overrides: dict | None = None) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(f"field 'a': {exc}") from exc
 
-    n = _int_field(raw, "n", 100_000, 1)
-    depth = _int_field(raw, "depth", 8, 0)
-    burn_in = _int_field(raw, "burn_in", DEFAULT_BURN_IN, 0)
-    chains = _int_field(raw, "chains", 4, 1)
+    counts = {
+        key: _int_field(raw.get(key, getattr(RunConfig, key)), key, minimum)
+        for key, minimum in (("n", 1), ("depth", 0), ("burn_in", 0), ("chains", 1))
+    }
+    chains = counts["chains"]
     # the old tree budget: still accepted so older configs load, but the
     # full tree is always streamed, so it sets nothing
-    _int_field(raw, "max_atoms", 1, 1)
+    if "max_atoms" in raw:
+        _int_field(raw["max_atoms"], "max_atoms", 1)
     base_seed = raw.get("seed", 0)
     if not isinstance(base_seed, int) or isinstance(base_seed, bool):
         raise ConfigError(f"field 'seed': expected integer, got {base_seed!r}")
@@ -292,40 +287,10 @@ def parse_config(raw: dict, overrides: dict | None = None) -> RunConfig:
             f"field 'seeds': expected {chains} pairwise distinct integers, got {seeds!r}"
         )
 
-    vp_raw = _object_field(raw, "viewport", {"center", "width", "height", "nx", "ny"})
-    nx = _int_field(vp_raw, "nx", 512, 1, "viewport.")
-    ny = _int_field(vp_raw, "ny", 512, 1, "viewport.")
-    center = _complex_pair(vp_raw.get("center", [0, 0]), "viewport.center")
-    width = _number_field(vp_raw, "width", 4.0, "viewport.")
-    height = _number_field(vp_raw, "height", 4.0, "viewport.")
-    try:
-        viewport = Viewport(center=center, width=width, height=height, nx=nx, ny=ny)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"field 'viewport': {exc}") from exc
+    viewport = _object_field(raw, "viewport", RunConfig.image.viewport)
+    image = _object_field(raw, "image", RunConfig.image, viewport=viewport)
 
-    img_raw = _object_field(raw, "image", {"colormap", "scale", "background", "foreground"})
-    colormap = img_raw.get("colormap", "fire")
-    scale = img_raw.get("scale", "log")
-    if colormap not in COLORMAPS:
-        raise ConfigError(
-            f"field 'image.colormap': expected one of {sorted(COLORMAPS)}, got {colormap!r}"
-        )
-    if scale not in SCALES:
-        raise ConfigError(f"field 'image.scale': expected one of {SCALES}, got {scale!r}")
-
-    def rgb(key: str, default):
-        v = img_raw.get(key, default)
-        if (
-            not isinstance(v, (list, tuple))
-            or len(v) != 3
-            or not all(
-                isinstance(c, int) and not isinstance(c, bool) and 0 <= c <= 255 for c in v
-            )
-        ):
-            raise ConfigError(f"field 'image.{key}': expected RGB triple 0..255")
-        return tuple(v)
-
-    out_prefix = raw.get("out", "semijulia_out")
+    out_prefix = raw.get("out", RunConfig.out_prefix)
     if not isinstance(out_prefix, str) or not out_prefix:
         raise ConfigError(f"field 'out': expected nonempty string, got {out_prefix!r}")
 
@@ -333,17 +298,10 @@ def parse_config(raw: dict, overrides: dict | None = None) -> RunConfig:
         semigroup=sg,
         a=a,
         method=method,
-        n=n,
-        depth=depth,
-        burn_in=burn_in,
-        chains=chains,
         seeds=list(seeds),
-        viewport=viewport,
-        colormap=colormap,
-        scale=scale,
-        background=rgb("background", (0, 0, 0)),
-        foreground=rgb("foreground", (255, 255, 255)),
+        image=image,
         out_prefix=out_prefix,
+        **counts,
     )
 
 
@@ -389,7 +347,6 @@ def execute_run(config: RunConfig) -> RunResult:
     prefix = Path(config.out_prefix)
     if prefix.parent != Path(""):
         prefix.parent.mkdir(parents=True, exist_ok=True)
-    spec = config.image_spec()
     d = config.semigroup.total_degree
     artifacts: dict[str, str] = {}
     metrics: dict[str, float] = {}
@@ -409,7 +366,7 @@ def execute_run(config: RunConfig) -> RunResult:
         grid_path = Path(f"{stem}.grid.txt")
         image_path = Path(f"{stem}.ppm")
         _write_text(grid_path, grid_to_text(grid))
-        write_image(render_density(grid, spec), image_path)
+        write_image(render_density(grid, config.image), image_path)
         artifacts[f"{tag or 'main'}.grid"] = str(grid_path)
         artifacts[f"{tag or 'main'}.image"] = str(image_path)
 
@@ -513,15 +470,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         except ValueError as exc:  # also an integer beyond Python's digit limit
             print(f"config error: invalid JSON in {args.config}: {exc}", file=sys.stderr)
             return 2
-        overrides = {
-            "method": args.method,
-            "seed": args.seed,
-            "out": args.out,
-            "n": args.n,
-            "depth": args.depth,
-            "chains": args.chains,
-            "burn_in": args.burn_in,
-        }
+        # every other run flag is named after the config key it overrides
+        overrides = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
         config = parse_config(raw, overrides)
         result = execute_run(config)
         for name, path in sorted(result.artifacts.items()):
@@ -529,6 +479,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return result.exit_code
     except (ConfigError, ExceptionalStartPoint) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except EmptyTail as exc:  # run_chains' own check of burn_in against n
+        print(f"config error: field 'burn_in': {exc}", file=sys.stderr)
         return 2
     except SolverDivergence as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)

@@ -8,6 +8,7 @@ surrogates used to compare approximations at fixed resolution.
 """
 from __future__ import annotations
 
+import cmath
 import math
 import numbers
 from dataclasses import dataclass
@@ -60,21 +61,29 @@ class Viewport:
     ny: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "center", complex(self.center))
-        object.__setattr__(self, "width", float(self.width))
-        object.__setattr__(self, "height", float(self.height))
-        window = (self.center.real, self.center.imag, self.width, self.height)
-        if not all(map(math.isfinite, window)):
-            raise ValueError("viewport center, width and height must be finite")
+        # a bool is an Integral and a string converts, but neither is a
+        # number here; an integer past the largest double has no float
+        for name, kind, cast in (
+            ("center", numbers.Complex, complex),
+            ("width", numbers.Real, float),
+            ("height", numbers.Real, float),
+        ):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ValueError(f"viewport {name} must be a number, got {value!r}")
+            try:
+                value = cast(value)
+            except OverflowError:
+                raise ValueError(f"viewport {name} is too large for a float") from None
+            if not cmath.isfinite(value):
+                raise ValueError(f"viewport {name} must be finite, got {value!r}")
+            object.__setattr__(self, name, value)
         if self.width <= 0 or self.height <= 0:
             raise ValueError("viewport width and height must be positive")
-        if not all(
-            isinstance(n, numbers.Integral) and not isinstance(n, bool)
-            for n in (self.nx, self.ny)
-        ):
-            raise ValueError(f"grid resolution must be integers, got {self.nx!r}, {self.ny!r}")
-        if self.nx < 1 or self.ny < 1:
-            raise ValueError("grid resolution must be at least 1x1")
+        for name in ("nx", "ny"):
+            n = getattr(self, name)
+            if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+                raise ValueError(f"grid resolution must be integers >= 1, got {name}={n!r}")
 
     @property
     def x0(self) -> float:

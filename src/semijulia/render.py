@@ -51,7 +51,8 @@ class ImageSpec:
     foreground: RGB = (255, 255, 255)
 
     def __post_init__(self) -> None:
-        if self.colormap not in COLORMAPS:
+        # a list is unhashable, so test the type before the dict lookup
+        if not isinstance(self.colormap, str) or self.colormap not in COLORMAPS:
             raise ValueError(
                 f"unknown colormap {self.colormap!r}; choose from {sorted(COLORMAPS)}"
             )
@@ -59,11 +60,11 @@ class ImageSpec:
             raise ValueError(f"unknown scale {self.scale!r}; choose from {SCALES}")
         for name in ("background", "foreground"):
             rgb = getattr(self, name)
-            if len(rgb) != 3 or not all(
+            if not isinstance(rgb, (tuple, list)) or len(rgb) != 3 or not all(
                 isinstance(v, numbers.Integral) and not isinstance(v, bool) and 0 <= v <= 255
                 for v in rgb
             ):
-                raise ValueError(f"{name} must be an RGB triple of 0..255 ints")
+                raise ValueError(f"{name} must be an RGB triple of 0..255 ints, got {rgb!r}")
             object.__setattr__(self, name, tuple(int(v) for v in rgb))
 
 

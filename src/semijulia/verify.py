@@ -35,10 +35,12 @@ from .measure import (
     check_invariance,
     circle_chordal_distance,
     default_test_functions,
+    full_tree_grid,
     min_distances,
     total_variation,
 )
 from .ratmap import RationalMap, evaluate, preimages, rational_map
+from .render import ImageSpec
 from .semigroup import (
     ProbabilityVector,
     Semigroup,
@@ -278,12 +280,12 @@ _ANNULUS_TREE_DEPTH = 10
 def crit_full_vs_random_tv(ctx: VerificationContext) -> CriterionResult:
     t0 = time.perf_counter()
     checks = _Checks()
-    tree = full_backward_tree(ctx.annulus_sg, 1, _ANNULUS_TREE_DEPTH)
+    tree_grid = full_tree_grid(ctx.annulus_sg, 1, _ANNULUS_TREE_DEPTH, _ANNULUS_VIEWPORT)
+    # the atom masses are powers of 1/2, so the binned total is exact
     checks.expect(
-        len(tree) == 4**_ANNULUS_TREE_DEPTH,
-        f"depth-{_ANNULUS_TREE_DEPTH} tree has {len(tree)} atoms",
+        tree_grid.total_mass == 1.0,
+        f"depth-{_ANNULUS_TREE_DEPTH} tree grid total mass {tree_grid.total_mass!r}",
     )
-    tree_grid = bin_cloud(tree, _ANNULUS_VIEWPORT)
     chain_grid = bin_cloud(ctx.annulus_cloud, _ANNULUS_VIEWPORT)
     tv = total_variation(tree_grid, chain_grid)
     checks.le(tv, 0.05, "total variation full-vs-random")
@@ -344,7 +346,7 @@ def crit_determinism(ctx: VerificationContext) -> CriterionResult:
                 burn_in=_BURN_IN,
                 chains=4,
                 seeds=list(_SEEDS_ANNULUS),
-                viewport=_ANNULUS_VIEWPORT,
+                image=ImageSpec(_ANNULUS_VIEWPORT),
                 out_prefix=str(Path(tmp) / "run"),
             )
             result = execute_run(cfg)

@@ -112,20 +112,29 @@ def test_parse_default_seeds_from_base_seed():
         ("viewport", {"ny": True}, "'viewport.ny'"),
         ("viewport", {"nx": "64"}, "'viewport.nx'"),
         ("viewport", {"ny": 0}, "'viewport.ny'"),
-        ("viewport", {"width": float("nan")}, "'viewport'.*finite"),
+        ("viewport", {"width": float("nan")}, "'viewport.width'.*finite"),
         ("viewport", {"width": True}, "'viewport.width'"),
         ("viewport", {"height": "9"}, "'viewport.height'"),
         ("viewport", {"width": 10**400}, "'viewport.width'"),
         ("viewport", {"center": [0, True]}, "'viewport.center'"),
         ("image", {"background": [True, 0, 0]}, "'image.background'"),
+        ("image", {"colormap": ["fire"]}, "'image.colormap'"),
     ],
 )
 def test_parse_error_names_viewport_and_image_keys(field, value, match):
     # a typo, a non-integer resolution, a non-number or a NaN window is
     # refused, not coerced, replaced by a default or left to put all mass
-    # outside the grid
+    # outside the grid; an unhashable colormap is refused, not a TypeError
     with pytest.raises(ConfigError, match=match):
         parse_config(base_config(**{field: value}))
+
+
+def test_parse_applies_given_keys_over_the_defaults():
+    parsed = parse_config(base_config(viewport={"width": 9}, image={"scale": "linear"}))
+    vp = parsed.viewport
+    assert (vp.center, vp.width, vp.height, vp.nx, vp.ny) == (0j, 9.0, 4.0, 512, 512)
+    assert (parsed.image.colormap, parsed.image.scale) == ("fire", "linear")
+    assert parsed.image.viewport is vp
 
 
 def test_flag_overrides_beat_file():
@@ -331,6 +340,14 @@ def test_main_non_finite_start_exit_2(tmp_path, capsys, start):
     path.write_text(text.replace('"START"', start))
     assert main(["run", "--config", str(path)]) == 2
     assert "'a'" in capsys.readouterr().err
+
+
+def test_main_burn_in_past_chain_length_exit_2(tmp_path, capsys):
+    # run_chains' own EmptyTail is the one check of burn_in against n
+    path = write_config(tmp_path, base_config(out=str(tmp_path / "x")))
+    assert main(["run", "--config", path, "--n", "200", "--burn-in", "300"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: field 'burn_in'") and "300 >= " in err
 
 
 def test_main_flag_override_applies(tmp_path):

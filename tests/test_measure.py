@@ -132,6 +132,24 @@ def test_viewport_refuses_non_integer_resolution(nx, ny):
         Viewport(0j, 4.0, 4.0, nx, ny)
 
 
+@pytest.mark.parametrize(
+    "window, name",
+    [
+        ({"width": True}, "width"),
+        ({"height": "9"}, "height"),
+        ({"center": "1"}, "center"),
+        ({"center": None}, "center"),
+        ({"width": 10**400}, "width"),
+        ({"center": -(10**400)}, "center"),
+    ],
+)
+def test_viewport_refuses_non_number_window(window, name):
+    # float() would make True a 1-wide window and "9" a 9-high one, and
+    # raise OverflowError for 10**400
+    with pytest.raises(ValueError, match=rf"\b{name}\b"):
+        Viewport(**{"center": 0j, "width": 4.0, "height": 4.0, "nx": 2, "ny": 2, **window})
+
+
 # ---------------------------------------------------------------------------
 # total variation
 

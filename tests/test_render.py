@@ -123,6 +123,8 @@ def test_viewport_mismatch():
 def test_spec_validation():
     with pytest.raises(ValueError):
         ImageSpec(viewport=vp(), colormap="nope")
+    with pytest.raises(ValueError):  # unhashable, so no dict lookup
+        ImageSpec(viewport=vp(), colormap=["fire"])
     with pytest.raises(ValueError):
         ImageSpec(viewport=vp(), scale="sqrt")
     with pytest.raises(ValueError):
@@ -130,10 +132,12 @@ def test_spec_validation():
 
 
 @pytest.mark.parametrize(
-    "rgb", [(True, 1, 7), (0, 1.9, 7), (0, 1, "7"), (0, 1, 7.0), (0, np.float64(1), 7)]
+    "rgb",
+    [(True, 1, 7), (0, 1.9, 7), (0, 1, "7"), (0, 1, 7.0), (0, np.float64(1), 7), 5, None],
 )
 def test_spec_refuses_non_int_rgb(rgb):
-    # int() would turn (True, 1.9, '7') into (1, 1, 7) silently
+    # int() would turn (True, 1.9, '7') into (1, 1, 7) silently, and len()
+    # of a bare number raised TypeError
     with pytest.raises(ValueError, match="RGB"):
         ImageSpec(viewport=vp(), background=rgb)
     with pytest.raises(ValueError, match="RGB"):
