@@ -12,8 +12,6 @@ converges to the same limit almost surely.
 """
 from __future__ import annotations
 
-import mmap
-import os
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Sequence
@@ -29,6 +27,7 @@ from .semigroup import (
     validate_assumptions,
 )
 from .sphere import SpherePoint, ensure_point, from_arrays, to_arrays
+from .workers import run_tasks, shared_array
 
 __all__ = [
     "BudgetExceeded",
@@ -40,6 +39,8 @@ __all__ = [
     "full_backward_tree",
     "tree_atoms",
     "tree_blocks",
+    "tree_subtrees",
+    "subtree_blocks",
     "random_backward_orbit",
     "empirical_measure",
     "run_chains",
@@ -183,33 +184,70 @@ def _expand_level(
     return roots.reshape(-1), inf.reshape(-1)
 
 
-def tree_blocks(
+# A subtree: its root points as ``(zs, at_inf, masses)`` and the number of
+# levels still to expand below them.
+Subtree = tuple[np.ndarray, np.ndarray, np.ndarray, int]
+
+
+def _branches(
+    kids: np.ndarray, kids_inf: np.ndarray, masses: np.ndarray, pi: np.ndarray, left: int
+) -> list[Subtree]:
+    """One parent-major level of children split per branch, in branch order:
+    branch i of every parent is the stride-d slice at offset i."""
+    d = pi.size
+    return [(kids[i::d].copy(), kids_inf[i::d].copy(), masses * pi[i], left) for i in range(d)]
+
+
+def tree_subtrees(
     sg: Semigroup, start: SpherePoint, depth: int, chunk: int
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The atoms of the full backward tree as ``(zs, at_inf, masses)`` array
-    blocks (see :func:`to_arrays`).  Levels are expanded whole while they fit
-    within ``chunk`` points, then split per branch and descended depth-first,
-    so ``chunk >= d**depth`` gives the whole tree parent-major in one block,
-    and live memory stays O(chunk * d * n) if each block is dropped before
-    the next is asked for."""
+) -> list[Subtree]:
+    """The full backward tree cut into subtrees, in branch order.  Levels are
+    expanded whole while they fit within ``chunk`` points; the first level
+    wider than that is split per branch into d subtrees.  A tree that never
+    grows wider is one subtree with no levels left (all its atoms)."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
     d = sg.total_degree
     pi = np.asarray(build_index_distribution(sg).probabilities)
-    stack = [(*to_arrays([start]), np.array([1.0]), depth)]
+    (zs, at_inf), masses, left = to_arrays([start]), np.array([1.0]), depth
+    while left:
+        size = masses.size
+        kids, kids_inf = _expand_level(sg, zs, at_inf)
+        left -= 1
+        if size * d > chunk:
+            return _branches(kids, kids_inf, masses, pi, left)
+        zs, at_inf, masses = kids, kids_inf, np.repeat(masses, d) * np.tile(pi, size)
+    return [(zs, at_inf, masses, 0)]
+
+
+def subtree_blocks(
+    sg: Semigroup, subtree: Subtree
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The atoms of one subtree of :func:`tree_subtrees` as ``(zs, at_inf,
+    masses)`` blocks as wide as its root level: every level is split per
+    branch and descended depth-first, so live memory stays O(width * d * n)
+    if each block is dropped before the next is asked for."""
+    pi = np.asarray(build_index_distribution(sg).probabilities)
+    stack = [subtree]
     while stack:
         zs, at_inf, masses, left = stack.pop()  # left: levels still to expand
         if left == 0:
             yield zs, at_inf, masses
             continue
-        size = masses.size
         kids, kids_inf = _expand_level(sg, zs, at_inf)
-        if size * d <= chunk:
-            stack.append((kids, kids_inf, np.repeat(masses, d) * np.tile(pi, size), left - 1))
-        else:
-            # branch i of every parent: the stride-d slice at offset i
-            for i in reversed(range(d)):
-                stack.append((kids[i::d].copy(), kids_inf[i::d].copy(), masses * pi[i], left - 1))
+        stack.extend(reversed(_branches(kids, kids_inf, masses, pi, left - 1)))
+
+
+def tree_blocks(
+    sg: Semigroup, start: SpherePoint, depth: int, chunk: int
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The atoms of the full backward tree as ``(zs, at_inf, masses)`` array
+    blocks (see :func:`to_arrays`): the blocks of each of its
+    :func:`tree_subtrees` in turn, so ``chunk >= d**depth`` gives the whole
+    tree parent-major in one block, and live memory stays
+    O(chunk * d * n)."""
+    for subtree in tree_subtrees(sg, start, depth, chunk):
+        yield from subtree_blocks(sg, subtree)
 
 
 def tree_atoms(
@@ -305,68 +343,6 @@ def empirical_measure(orbit: BackwardOrbit, burn_in: int) -> WeightedPointCloud:
     )
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on (its affinity mask where the platform
-    reports one)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-def _fork_context():
-    """The ``fork`` multiprocessing context, or None where the platform has
-    none or where this process runs other threads (a fork copies their locks
-    in whatever state they hold them).  Imported here, so importing the
-    package does not pay for it."""
-    import multiprocessing
-    import threading
-
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return None
-    if threading.active_count() > 1:
-        return None
-    return multiprocessing.get_context("fork")
-
-
-@dataclass
-class _ChainJobs:
-    """What every chain of one :func:`run_chains` call shares, and where
-    each writes its tail: row k of ``zs`` / ``at_inf`` belongs to chain
-    ``seeds[k]``.  Both arrays are views of one shared anonymous mapping, so
-    forked workers write straight into the parent's memory."""
-
-    sg: Semigroup
-    start: SpherePoint
-    n: int
-    burn_in: int
-    seeds: list[int]
-    zs: np.ndarray
-    at_inf: np.ndarray
-
-
-def _run_chain(jobs: _ChainJobs, k: int) -> None:
-    """Chain ``jobs.seeds[k]``: its post-burn-in tail into row k."""
-    orbit = random_backward_orbit(
-        jobs.sg, jobs.start, jobs.n, jobs.seeds[k], check_start=False
-    )
-    jobs.zs[k] = orbit.zs[jobs.burn_in :]
-    jobs.at_inf[k] = orbit.at_inf[jobs.burn_in :]
-
-
-# set only inside a worker process, by the pool initializer
-_worker_jobs: _ChainJobs | None = None
-
-
-def _init_worker(jobs: _ChainJobs) -> None:
-    global _worker_jobs
-    _worker_jobs = jobs
-
-
-def _run_chain_in_worker(k: int) -> None:
-    _run_chain(_worker_jobs, k)
-
-
 def run_chains(
     sg: Semigroup,
     start: SpherePoint,
@@ -381,10 +357,10 @@ def run_chains(
     seed order regardless of execution order.  With one chain this is exactly
     :func:`empirical_measure` of that chain.
 
-    The chains run in up to one forked worker process per usable CPU (in
-    this process when there is one CPU, one chain, no ``fork``, or another
-    thread running); each writes its tail into its own rows of one shared
-    buffer.  The result is the same, bit for bit, for any number of CPUs.
+    The chains run as tasks of :func:`~semijulia.workers.run_tasks`, in
+    forked workers where it can; each writes its tail into its own rows of a
+    shared array.  The result is the same, bit for bit, for any number of
+    CPUs.
     """
     if seeds is None:
         seeds = list(range(n_chains))
@@ -405,33 +381,16 @@ def run_chains(
     if burn_in >= n_per_chain:
         raise EmptyTail(f"burn_in {burn_in} >= orbit length {n_per_chain}")
     tail = n_per_chain - burn_in
-    size = n_chains * tail
-    # a complex128 point and a bool at-infinity flag per atom
-    buf = mmap.mmap(-1, size * 17)
-    zs = np.frombuffer(buf, dtype=complex, count=size)
-    at_inf = np.frombuffer(buf, dtype=bool, count=size, offset=zs.nbytes)
-    jobs = _ChainJobs(
-        sg,
-        start,
-        n_per_chain,
-        burn_in,
-        seeds,
-        zs.reshape(n_chains, tail),
-        at_inf.reshape(n_chains, tail),
-    )
-    workers = min(n_chains, _usable_cpus())
-    fork = _fork_context() if workers > 1 else None
-    if fork is not None:
-        from concurrent.futures import ProcessPoolExecutor
+    # row k: the post-burn-in tail of chain seeds[k]
+    zs = shared_array((n_chains, tail), complex)
+    at_inf = shared_array((n_chains, tail), bool)
 
-        with ProcessPoolExecutor(
-            workers, mp_context=fork, initializer=_init_worker, initargs=(jobs,)
-        ) as pool:
-            for _ in pool.map(_run_chain_in_worker, range(n_chains)):
-                pass
-    else:
-        for k in range(n_chains):
-            _run_chain(jobs, k)
+    def run_chain(k: int) -> None:
+        orbit = random_backward_orbit(sg, start, n_per_chain, seeds[k], check_start=False)
+        zs[k] = orbit.zs[burn_in:]
+        at_inf[k] = orbit.at_inf[burn_in:]
+
+    run_tasks(n_chains, run_chain)
     # each chain's empirical_measure masses, divided by the number of chains
-    masses = np.full(size, (1.0 / tail) / n_chains)
-    return WeightedPointCloud(zs, at_inf, masses)
+    masses = np.full(n_chains * tail, (1.0 / tail) / n_chains)
+    return WeightedPointCloud(zs.reshape(-1), at_inf.reshape(-1), masses)

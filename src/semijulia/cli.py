@@ -310,7 +310,9 @@ def parse_config(raw: dict, overrides: dict | None = None) -> RunConfig:
 
 
 def _write_text(path: Path, text: str) -> None:
+    """Write one text artifact; the first one creates the output directory."""
     try:
+        path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(text)
     except OSError as exc:
         raise OSError(f"cannot write {path}: {exc}") from exc
@@ -345,8 +347,6 @@ def execute_run(config: RunConfig) -> RunResult:
 
     assumptions = validate_assumptions(config.semigroup, config.a)
     prefix = Path(config.out_prefix)
-    if prefix.parent != Path(""):
-        prefix.parent.mkdir(parents=True, exist_ok=True)
     d = config.semigroup.total_degree
     artifacts: dict[str, str] = {}
     metrics: dict[str, float] = {}

@@ -16,10 +16,17 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .backward import BackwardOrbit, EmptyTail, WeightedPointCloud, tree_blocks
+from .backward import (
+    BackwardOrbit,
+    EmptyTail,
+    WeightedPointCloud,
+    subtree_blocks,
+    tree_subtrees,
+)
 from .ratmap import preimages_batch
 from .semigroup import Semigroup, validate_assumptions
 from .sphere import SpherePoint, ensure_point
+from .workers import run_tasks, shared_array
 
 __all__ = [
     "ViewportMismatch",
@@ -166,22 +173,40 @@ def full_tree_grid(
 ) -> GridMeasure:
     """Bin the full backward tree of the given depth without materializing it.
 
-    Each block of :func:`tree_blocks` (levels wider than ``chunk`` points are
-    split per branch) goes straight into the grid, so live memory stays
-    O(chunk * d * n) however large d^n grows.  Equals binning the
-    materialized tree up to floating-point summation order.
+    The tree is cut into :func:`tree_subtrees` (levels wider than ``chunk``
+    points are split per branch); each subtree is binned block by block into
+    its own slot, in forked workers where :func:`run_tasks` can, and the
+    slots are added in subtree order.  The cut is fixed by the tree, not by
+    the CPU count, so the grid is the same, bit for bit, on any number of
+    CPUs.  Live memory stays O(chunk * d * n) per worker however large d^n
+    grows.  Equals binning the materialized tree up to floating-point
+    summation order: dyadic masses (the annulus pair) bin exactly, while a
+    grid of non-dyadic masses may differ in its last bits.
     """
     start = ensure_point(start)
     if check_start:
         validate_assumptions(sg, start)
+    subtrees = tree_subtrees(sg, start, depth, chunk)
+    n = len(subtrees)
+    slot_cells = shared_array((n, vp.ny, vp.nx), float)
+    slot_outside = shared_array((n,), float)
+
+    def bin_subtree(k: int) -> None:
+        cells, outside = slot_cells[k], 0.0
+        for zs, at_inf, masses in subtree_blocks(sg, subtrees[k]):
+            block_cells, block_outside = _bin_arrays(zs, at_inf, masses, vp)
+            cells += block_cells
+            outside += block_outside
+            # drop the block before the walker expands the next one
+            del zs, at_inf, masses, block_cells
+        slot_outside[k] = outside
+
+    run_tasks(n, bin_subtree)
     cells = np.zeros((vp.ny, vp.nx))
     outside = 0.0
-    for zs, at_inf, masses in tree_blocks(sg, start, depth, chunk):
-        block_cells, block_outside = _bin_arrays(zs, at_inf, masses, vp)
-        cells += block_cells
-        outside += block_outside
-        # drop the block before the walker expands the next one
-        del zs, at_inf, masses, block_cells
+    for k in range(n):
+        cells += slot_cells[k]
+        outside += float(slot_outside[k])
     return GridMeasure(viewport=vp, cells=cells, outside_mass=outside)
 
 

@@ -312,24 +312,6 @@ def test_merge_order_permutation_bins_identically():
 # run_chains across worker processes
 
 
-@pytest.fixture(params=[1, 3], ids=["in-process", "pool"])
-def cpus(request, monkeypatch):
-    """run_chains sees this many usable CPUs.  Returns the CPU count and the
-    list of fork-context lookups, one per call that starts a worker pool."""
-    import semijulia.backward as backward
-
-    lookups = []
-    real = backward._fork_context
-
-    def fork_context():
-        lookups.append(real())
-        return lookups[-1]
-
-    monkeypatch.setattr(backward, "_usable_cpus", lambda: request.param)
-    monkeypatch.setattr(backward, "_fork_context", fork_context)
-    return request.param, lookups
-
-
 def inf_visiting_sg():
     # (z^2+1)/(z^2+2) sends its poles +-i*sqrt(2) to infinity, and infinity
     # is a preimage of 1 under it
@@ -377,13 +359,13 @@ def test_no_fork_while_other_threads_run():
     # chains then run in this process
     import threading
 
-    import semijulia.backward as backward
+    import semijulia.workers as workers
 
     release = threading.Event()
     thread = threading.Thread(target=release.wait)
     thread.start()
     try:
-        assert backward._fork_context() is None
+        assert workers._fork_context() is None
     finally:
         release.set()
         thread.join(timeout=10)
@@ -393,10 +375,10 @@ def test_no_fork_while_other_threads_run():
 def test_run_chains_reraises_worker_solver_divergence(monkeypatch):
     # with a two-sweep budget the first cubic preimage of every chain fails
     # inside its worker; the parent sees the same error type and coefficients
-    import semijulia.backward as backward
     import semijulia.ratmap as ratmap
+    import semijulia.workers as workers
 
-    monkeypatch.setattr(backward, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(workers, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(ratmap, "_MAX_SWEEPS", 2)
     sg = Semigroup((rational_map([0.3, 0, 0, 1]),))
     with pytest.raises(SolverDivergence) as scalar:

@@ -350,6 +350,16 @@ def test_main_burn_in_past_chain_length_exit_2(tmp_path, capsys):
     assert err.startswith("config error: field 'burn_in'") and "300 >= " in err
 
 
+def test_main_refused_run_creates_no_directory(tmp_path):
+    # the output directory appears with the first artifact, not before the
+    # chains are refused
+    path = write_config(tmp_path, base_config())
+    out = tmp_path / "new"
+    argv = ["run", "--config", path, "--n", "200", "--burn-in", "300", "--out", str(out / "x")]
+    assert main(argv) == 2
+    assert not out.exists()
+
+
 def test_main_flag_override_applies(tmp_path):
     path = write_config(tmp_path, base_config(out=str(tmp_path / "f")))
     assert main(["run", "--config", path, "--method", "full", "--depth", "5"]) == 0

@@ -31,7 +31,7 @@ from semijulia.measure import (
     min_distances,
     total_variation,
 )
-from semijulia.ratmap import preimages, rational_map
+from semijulia.ratmap import SolverDivergence, preimages, rational_map
 from semijulia.semigroup import ProbabilityVector, Semigroup, make_rng
 from semijulia.sphere import INF, chordal_distance, to_arrays
 
@@ -501,6 +501,69 @@ def test_full_tree_grid_scalar_generators():
         streamed = full_tree_grid(sg, 1, 3, vp, chunk=4, check_start=False)
         assert np.allclose(direct.cells, streamed.cells, atol=1e-12)
         assert streamed.outside_mass == pytest.approx(direct.outside_mass, abs=1e-12)
+
+
+def cubic_rational_sg():
+    # z^3 + 0.3 and (z^2 + 0.5)/(1.5z): branch masses 1/6 and 1/4, not dyadic
+    return Semigroup(
+        (rational_map([0.3, 0, 0, 1]), rational_map([0.5, 0, 1], [0, 1.5])),
+        ProbabilityVector([0.5, 0.5]),
+    )
+
+
+def test_full_tree_grid_split_across_workers_keeps_dyadic_cells(cpus):
+    # chunk 64 cuts the 4^6-atom tree into 4 subtrees of 4^5 atoms; binned
+    # in turn or in workers, they add up to the one-block grid's bytes
+    sg, vp = annulus_sg(), Viewport(center=0j, width=9.0, height=9.0, nx=64, ny=64)
+    split = full_tree_grid(sg, 1, 6, vp, chunk=64)
+    count, lookups = cpus
+    assert len(lookups) == (count > 1)
+    whole = full_tree_grid(sg, 1, 6, vp, chunk=4**6)  # one subtree: no pool
+    assert len(lookups) == (count > 1)
+    assert split.cells.tobytes() == whole.cells.tobytes()
+    assert split.outside_mass == whole.outside_mass
+
+
+def test_full_tree_grid_same_bytes_on_any_cpu_count(cpus, monkeypatch):
+    # non-dyadic masses: the grid depends on the subtree cut, which chunk
+    # fixes, and not on where the subtrees were binned
+    import semijulia.workers as workers
+
+    sg, vp = cubic_rational_sg(), Viewport(center=0j, width=4.0, height=4.0, nx=16, ny=16)
+    grid = full_tree_grid(sg, 0.5, 4, vp, chunk=8)  # 5 subtrees of 5^3 atoms
+    assert len(cpus[1]) == (cpus[0] > 1)
+    monkeypatch.setattr(workers, "_usable_cpus", lambda: 1)
+    in_process = full_tree_grid(sg, 0.5, 4, vp, chunk=8)
+    assert grid.cells.tobytes() == in_process.cells.tobytes()
+    assert grid.outside_mass == in_process.outside_mass
+    direct = bin_cloud(full_backward_tree(sg, 0.5, 4), vp)
+    assert np.allclose(grid.cells, direct.cells, rtol=1e-13, atol=0)
+    assert grid.outside_mass == pytest.approx(direct.outside_mass, rel=1e-13)
+
+
+def test_full_tree_grid_reraises_worker_solver_divergence(cpus, monkeypatch):
+    # the subtree roots are solved with the full sweep budget; then a
+    # two-sweep budget fails the first cubic fibre of every subtree, inside
+    # its worker, and the parent sees the scalar call's error
+    import semijulia.measure as measure
+    import semijulia.ratmap as ratmap
+
+    real, roots = measure.tree_subtrees, []
+
+    def tree_subtrees(*args):
+        subtrees = real(*args)
+        roots.append(complex(subtrees[0][0][0]))
+        monkeypatch.setattr(ratmap, "_MAX_SWEEPS", 2)
+        return subtrees
+
+    monkeypatch.setattr(measure, "tree_subtrees", tree_subtrees)
+    sg = Semigroup((rational_map([0.3, 0, 0, 1]),))
+    with pytest.raises(SolverDivergence) as err:
+        full_tree_grid(sg, 0.5, 3, vp44(), chunk=2, check_start=False)  # 3 subtrees
+    assert len(cpus[1]) == (cpus[0] > 1)
+    with pytest.raises(SolverDivergence) as scalar:
+        preimages(sg.generators[0], roots[0])
+    assert err.value.coeffs == scalar.value.coeffs
 
 
 # ---------------------------------------------------------------------------
