@@ -6,8 +6,6 @@ each other and against classically known invariant measures.
 """
 from .backward import (
     BackwardOrbit,
-    BudgetExceeded,
-    DEFAULT_ATOM_BUDGET,
     DEFAULT_BURN_IN,
     EmptyTail,
     WeightedPointCloud,
@@ -28,7 +26,6 @@ from .measure import (
     check_invariance,
     circle_chordal_distance,
     default_test_functions,
-    distance_decay_profile,
     full_tree_grid,
     grid_from_text,
     grid_to_text,

@@ -44,6 +44,8 @@ METHODS = ("random", "full", "compare", "verify")
 # seeds so changing them never silently changes a diagnostic
 _INVARIANCE_SEED = 1_000_000_007
 _SUPPORT_SAMPLE_SEED = 1_000_000_009
+# points per support in compare's Hausdorff line
+_SUPPORT_SAMPLE_CAP = 4096
 
 
 class ConfigError(ValueError):
@@ -328,10 +330,12 @@ def _invariance_section(sg: Semigroup, cloud) -> tuple[list[str], dict[str, floa
     return lines, {f"invariance.{k}": v for k, v in report.items()}
 
 
-def _sample_indices(n: int, cap: int = 4096):
-    # seeded draw without replacement, sorted (all n when n <= cap): a plain
+def _sample_indices(n: int):
+    # seeded draw without replacement, sorted (all n when n <= the cap): a plain
     # stride aliases with the branch-block period of trees and skews the sample
-    idx = make_rng(_SUPPORT_SAMPLE_SEED).choice(n, size=min(n, cap), replace=False)
+    idx = make_rng(_SUPPORT_SAMPLE_SEED).choice(
+        n, size=min(n, _SUPPORT_SAMPLE_CAP), replace=False
+    )
     idx.sort()
     return idx
 
@@ -409,7 +413,7 @@ def execute_run(config: RunConfig) -> RunResult:
         report_lines.append(f"total_variation = {tv:.6g}")
         report_lines.append(
             f"hausdorff_support_distance = {hd:.6g} "
-            "(both supports subsampled to <= 4096 points)"
+            f"(both supports subsampled to <= {_SUPPORT_SAMPLE_CAP} points)"
         )
     if "random" in grids:
         lines, inv = _invariance_section(config.semigroup, cloud)
@@ -483,7 +487,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except EmptyTail as exc:  # run_chains' own check of burn_in against n
         print(f"config error: field 'burn_in': {exc}", file=sys.stderr)
         return 2
-    except SolverDivergence as exc:
+    except (SolverDivergence, OSError) as exc:  # OSError: an unwritable artifact
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 1
 

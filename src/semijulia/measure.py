@@ -40,7 +40,6 @@ __all__ = [
     "min_distances",
     "apply_transfer_operator",
     "check_invariance",
-    "distance_decay_profile",
     "cesaro_average",
     "circle_chordal_distance",
     "default_test_functions",
@@ -248,7 +247,11 @@ def _embed(points: Points) -> np.ndarray:
     return out
 
 
-def min_distances(points: Points, reference: Points, *, chunk: int = 128) -> np.ndarray:
+# points per block of min_distances: bounds its (block, reference) dot products
+_MIN_DISTANCE_BLOCK = 128
+
+
+def min_distances(points: Points, reference: Points) -> np.ndarray:
     """Chordal distance from each point to the nearest reference point.
 
     Embedding images are unit vectors, so the nearest reference maximizes the
@@ -262,11 +265,11 @@ def min_distances(points: Points, reference: Points, *, chunk: int = 128) -> np.
     pe = _embed(points)
     re_ = _embed(reference)
     out = np.empty(len(pe))
-    for i in range(0, len(pe), chunk):
-        block = pe[i : i + chunk]
+    for i in range(0, len(pe), _MIN_DISTANCE_BLOCK):
+        block = pe[i : i + _MIN_DISTANCE_BLOCK]
         nearest = (block @ re_.T).argmax(axis=1)
         diff = block - re_[nearest]
-        out[i : i + chunk] = np.sqrt((diff * diff).sum(axis=1))
+        out[i : i + _MIN_DISTANCE_BLOCK] = np.sqrt((diff * diff).sum(axis=1))
     return out
 
 
@@ -290,13 +293,6 @@ def circle_chordal_distance(
         r = np.abs(zs)
         near = 2.0 * np.abs(r - radius) / (np.hypot(1.0, r) * ar)
     return np.where(at_inf | np.isinf(r), 2.0 / ar, near)
-
-
-def distance_decay_profile(orbit: BackwardOrbit, reference: Points) -> np.ndarray:
-    """Chordal distance from each orbit point to the reference set, in step
-    order.  Diagnostic only: no monotonicity implied, only eventual
-    smallness when the reference approximates the Julia set."""
-    return min_distances((orbit.zs, orbit.at_inf), reference)
 
 
 # ---------------------------------------------------------------------------
@@ -383,18 +379,21 @@ def _gaussian_bump(center: complex, width: float) -> TestFunction:
     return bump
 
 
-def default_test_functions(
-    bump_centers: Sequence[complex] = (1 + 0j, -1 + 0j), bump_width: float = 0.75
-) -> list[tuple[str, TestFunction]]:
+# the chordal Gaussian bumps of default_test_functions
+_BUMP_CENTERS = (1 + 0j, -1 + 0j)
+_BUMP_WIDTH = 0.75
+
+
+def default_test_functions() -> list[tuple[str, TestFunction]]:
     """The standard diagnostic test functions: coordinates, a bounded radial
-    function, and chordal Gaussian bumps at the given centers."""
+    function, and chordal Gaussian bumps of width 0.75 at 1 and -1."""
     out: list[tuple[str, TestFunction]] = [
         ("re", sphere_re),
         ("im", sphere_im),
         ("modulus_ratio", modulus_ratio),
     ]
-    for c in bump_centers:
-        out.append((f"bump@{c.real:g}{c.imag:+g}j", _gaussian_bump(c, bump_width)))
+    for c in _BUMP_CENTERS:
+        out.append((f"bump@{c.real:g}{c.imag:+g}j", _gaussian_bump(c, _BUMP_WIDTH)))
     return out
 
 

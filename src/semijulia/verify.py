@@ -13,7 +13,6 @@ Built-in examples:
 from __future__ import annotations
 
 import math
-import sys
 import tempfile
 import time
 from dataclasses import dataclass, field
@@ -414,12 +413,9 @@ def run_criterion(name: str, ctx: VerificationContext | None = None) -> Criterio
     raise KeyError(f"unknown criterion {name!r}; choose from {CRITERION_NAMES}")
 
 
-def run_verification(
-    only: Sequence[str] | None = None, out=None
-) -> bool:
+def run_verification(only: Sequence[str] | None = None) -> bool:
     """Run the criteria (all, or those whose name contains one of the given
     substrings), print one PASS/FAIL line each, and return overall success."""
-    out = out if out is not None else sys.stdout
     selected: Iterable[tuple[str, Callable]] = CRITERIA
     if only:
         selected = [
@@ -428,12 +424,12 @@ def run_verification(
             if any(pat in name for pat in only)
         ]
         if not selected:
-            print(f"no criteria match {list(only)!r}", file=out)
+            print(f"no criteria match {list(only)!r}")
             return False
     ctx = VerificationContext()
     ok = True
     for _, fn in selected:
         res = fn(ctx)
-        print(res.line(), file=out)
+        print(res.line())
         ok = ok and res.passed
     return ok

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from semijulia.backward import (
-    BudgetExceeded,
     EmptyTail,
     WeightedPointCloud,
     _expand_level_fast,
@@ -155,7 +154,7 @@ def test_tree_equals_scalar_level_oracle(den):
 
 
 def test_scalar_path_used_for_rational_generators():
-    # a genuinely rational generator disables the vectorized climb
+    # a genuinely rational generator sends every level through preimages_batch
     sg = Semigroup(
         (rational_map([0, 0, 1]), rational_map([1, 0, 1], [0, 1])),  # (z^2+1)/z
         ProbabilityVector([0.5, 0.5]),
@@ -165,9 +164,12 @@ def test_scalar_path_used_for_rational_generators():
     assert abs(cloud.total_mass - 1.0) <= 1e-9
 
 
-def test_tree_budget():
-    with pytest.raises(BudgetExceeded):
-        full_backward_tree(square_sg(), 1, 8, max_atoms=100)
+def test_tree_depth_edge_cases():
+    cloud = full_backward_tree(annulus_sg(), 1, 0)
+    assert cloud.zs.tolist() == [1 + 0j] and cloud.at_inf.tolist() == [False]
+    assert cloud.masses.tolist() == [1.0]
+    with pytest.raises(ValueError, match="depth"):
+        full_backward_tree(annulus_sg(), 1, -1)
 
 
 @pytest.mark.parametrize(

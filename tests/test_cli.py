@@ -360,6 +360,15 @@ def test_main_refused_run_creates_no_directory(tmp_path):
     assert not out.exists()
 
 
+def test_main_unwritable_output_exit_1(tmp_path, capsys):
+    # the output "directory" is a regular file, so no artifact can be written
+    path = write_config(tmp_path, base_config())
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main(["run", "--config", path, "--out", str(blocker / "x")]) == 1
+    assert capsys.readouterr().err.startswith("runtime failure: cannot write ")
+
+
 def test_main_flag_override_applies(tmp_path):
     path = write_config(tmp_path, base_config(out=str(tmp_path / "f")))
     assert main(["run", "--config", path, "--method", "full", "--depth", "5"]) == 0
@@ -397,3 +406,21 @@ def test_python_dash_m_runs_without_runpy_warning():
     assert proc.returncode == 0, proc.stderr
     assert "PASS circle-decay" in proc.stdout
     assert "RuntimeWarning" not in proc.stderr
+
+
+def test_every_exported_name_resolves():
+    # a stale __all__ entry breaks ``from semijulia.<module> import *``
+    import importlib
+    import pkgutil
+
+    for info in pkgutil.iter_modules(semijulia.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module(f"semijulia.{info.name}")
+        namespace = {}
+        exec(f"from semijulia.{info.name} import *", namespace)
+        assert set(module.__all__) <= set(namespace), info.name
+    namespace = {}
+    exec("from semijulia import *", namespace)
+    public = {name for name in dir(semijulia) if not name.startswith("_")}
+    assert public <= set(namespace)

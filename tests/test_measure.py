@@ -23,7 +23,6 @@ from semijulia.measure import (
     check_invariance,
     circle_chordal_distance,
     default_test_functions,
-    distance_decay_profile,
     full_tree_grid,
     grid_from_text,
     grid_to_text,
@@ -277,7 +276,7 @@ def test_circle_chordal_distance_radius_and_overflow():
 
 def test_distance_decay_profile_from_outside():
     orbit = random_backward_orbit(square_sg(), 3, 50, seed=7)
-    profile = distance_decay_profile(orbit, unit_circle(4096))
+    profile = min_distances((orbit.zs, orbit.at_inf), unit_circle(4096))
     gap = 2 * math.pi / 4096
     for m, value in enumerate(profile, start=1):
         bound = abs(3 ** (2.0**-m) - 1) + gap
@@ -287,19 +286,20 @@ def test_distance_decay_profile_from_outside():
 
 def test_distance_decay_profile_on_reference():
     orbit = random_backward_orbit(square_sg(), 1, 30, seed=7)
-    assert distance_decay_profile(orbit, unit_circle(8192)).max() <= 2 * math.pi / 8192
+    profile = min_distances((orbit.zs, orbit.at_inf), unit_circle(8192))
+    assert profile.max() <= 2 * math.pi / 8192
 
 
 def test_distance_decay_profile_inf_reference_is_just_large():
     orbit = random_backward_orbit(square_sg(), 1, 10, seed=7)
-    profile = distance_decay_profile(orbit, to_arrays([INF]))
+    profile = min_distances((orbit.zs, orbit.at_inf), to_arrays([INF]))
     assert np.all(profile > 1.0)  # diagnostic garbage in, large values out
 
 
 def test_distance_decay_profile_empty_reference():
     orbit = random_backward_orbit(square_sg(), 1, 10, seed=7)
     with pytest.raises(EmptySet):
-        distance_decay_profile(orbit, to_arrays([]))
+        min_distances((orbit.zs, orbit.at_inf), to_arrays([]))
 
 
 # ---------------------------------------------------------------------------
