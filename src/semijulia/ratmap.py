@@ -115,8 +115,11 @@ def _aberth_roots(coeffs: Sequence[complex]) -> list[complex]:
     """All roots of a degree >= 3 polynomial by simultaneous (Ehrlich-Aberth)
     iteration with one Newton polish per root.
 
-    Multiple roots come out as tight clusters of repeated values, which is
-    exactly what callers counting preimages with multiplicity need.
+    This is the generic loop, the reference every other form follows
+    operation by operation: :func:`_aberth_cubic` (degree 3, unrolled) and
+    :func:`_aberth_rows` (every row of an array).  Multiple roots come out
+    as tight clusters of repeated values, which is exactly what callers
+    counting preimages with multiplicity need.
     """
     n = len(coeffs) - 1
     lead = coeffs[-1]
@@ -177,6 +180,71 @@ def _aberth_roots(coeffs: Sequence[complex]) -> list[complex]:
     return polished
 
 
+# the starting directions of the degree-3 sweep, as :func:`_aberth_roots`
+# forms them for n = 3
+_CUBIC_START = tuple(cmath.exp(1j * (2 * math.pi * k / 3 + 0.4)) for k in range(3))
+
+
+def _aberth_cubic(coeffs: Sequence[complex]) -> list[complex]:
+    """:func:`_aberth_roots` of a cubic, unrolled: the same floating-point
+    operations in the same order, so the same roots bit for bit.
+
+    Horner starts from 0j, the stop test is the same (a NaN residual counts
+    as converged), and each root pair is divided once: 1 / (x_j - x_i) is
+    exactly -(1 / (x_i - x_j)).  The rare sweeps, a zero pair difference or
+    derivative, and no convergence within ``_MAX_SWEEPS``, rerun the generic
+    loop from the start instead, which gives the same roots, or the same
+    :class:`SolverDivergence`.
+    """
+    c0, c1, c2, c3 = coeffs
+    m0, m1, m2, m3 = c0 / c3, c1 / c3, c2 / c3, c3 / c3
+    d0, d1, d2 = 1 * m1, 2 * m2, 3 * m3
+    g0, g1, g2, g3 = abs(m0), abs(m1), abs(m2), abs(m3)
+    radius = 1.0 + max(g0, g1, g2)
+    u0, u1, u2 = _CUBIC_START
+    x0, x1, x2 = radius * u0, radius * u1, radius * u2
+    tol = _RESIDUAL_TOL
+    for _ in range(_MAX_SWEEPS):
+        p0 = (((0j * x0 + m3) * x0 + m2) * x0 + m1) * x0 + m0
+        a = abs(x0)
+        s0 = (((0.0 * a + g3) * a + g2) * a + g1) * a + g0
+        p1 = (((0j * x1 + m3) * x1 + m2) * x1 + m1) * x1 + m0
+        a = abs(x1)
+        s1 = (((0.0 * a + g3) * a + g2) * a + g1) * a + g0
+        p2 = (((0j * x2 + m3) * x2 + m2) * x2 + m1) * x2 + m0
+        a = abs(x2)
+        s2 = (((0.0 * a + g3) * a + g2) * a + g1) * a + g0
+        # max(s, 1.0), NaN included
+        if not (
+            abs(p0) > tol * (1.0 if 1.0 > s0 else s0)
+            or abs(p1) > tol * (1.0 if 1.0 > s1 else s1)
+            or abs(p2) > tol * (1.0 if 1.0 > s2 else s2)
+        ):
+            break
+        dp0 = ((0j * x0 + d2) * x0 + d1) * x0 + d0
+        dp1 = ((0j * x1 + d2) * x1 + d1) * x1 + d0
+        dp2 = ((0j * x2 + d2) * x2 + d1) * x2 + d0
+        e01, e02, e12 = x0 - x1, x0 - x2, x1 - x2
+        if dp0 == 0 or dp1 == 0 or dp2 == 0 or e01 == 0 or e02 == 0 or e12 == 0:
+            return _aberth_roots(coeffs)
+        q01, q02, q12 = 1.0 / e01, 1.0 / e02, 1.0 / e12
+        n0, n1, n2 = p0 / dp0, p1 / dp1, p2 / dp2
+        w0 = 1.0 - n0 * (0j + q01 + q02)
+        w1 = 1.0 - n1 * (0j - q01 + q12)
+        w2 = 1.0 - n2 * (0j - q02 - q12)
+        x0 = x0 - (n0 if w0 == 0 else n0 / w0)
+        x1 = x1 - (n1 if w1 == 0 else n1 / w1)
+        x2 = x2 - (n2 if w2 == 0 else n2 / w2)
+    else:
+        return _aberth_roots(coeffs)
+    # the Newton polish, on the residuals of the converged sweep
+    polished = []
+    for x, p in ((x0, p0), (x1, p1), (x2, p2)):
+        dp = ((0j * x + d2) * x + d1) * x + d0
+        polished.append(x if dp == 0 else x - p / dp)
+    return polished
+
+
 def _normalized(coeffs: list[complex], peak: float) -> tuple[list[complex], float]:
     """Coefficients and their largest modulus ``peak``, rescaled as above
     (ldexp on the parts: for tiny peaks a factor 2**k would overflow)."""
@@ -213,6 +281,8 @@ def _roots(cs: list[complex]) -> list[complex]:
         return [-cs[0] / cs[1]]
     if n == 2:
         return _quadratic_roots(cs[2], cs[1], cs[0])
+    if n == 3:
+        return _aberth_cubic(cs)
     return _aberth_roots(cs)
 
 
@@ -258,6 +328,8 @@ class RationalMap:
         dc = list(self.denominator.coeffs) + [0j] * (pad - len(self.denominator.coeffs))
         self._num_padded = tuple(nc)
         self._den_padded = tuple(dc)
+        # (num_k, den_k) for k = 0..degree: the fibre over w is num_k - w*den_k
+        self._fibre_pairs = tuple(zip(nc, dc))
         # reversed coefficients for evaluation at large |z| via u = 1/z
         self._num_rev = tuple(reversed(self.numerator.coeffs))
         self._den_rev = tuple(reversed(self.denominator.coeffs))
@@ -327,8 +399,12 @@ def evaluate(f: RationalMap, z: SpherePoint) -> SpherePoint:
     return INF
 
 
+def _branch_key(w: complex) -> tuple[float, float]:
+    return w.real, w.imag
+
+
 def _sorted_with_padding(finite: list[complex], degree: int) -> list[SpherePoint]:
-    finite.sort(key=lambda w: (w.real, w.imag))
+    finite.sort(key=_branch_key)
     out: list[SpherePoint] = list(finite)
     out.extend([INF] * (degree - len(finite)))
     return out
@@ -344,9 +420,7 @@ def fibre_polynomial(f: RationalMap, w: SpherePoint) -> list[complex]:
 
 def _fibre(f: RationalMap, w: complex) -> tuple[list[complex], float]:
     """:func:`fibre_polynomial` of a finite w, with its largest |coefficient|."""
-    nc = f._num_padded
-    dc = f._den_padded
-    coeffs = [nc[k] - w * dc[k] for k in range(f.degree + 1)]
+    coeffs = [n - w * c for n, c in f._fibre_pairs]
     try:
         peak = max(map(abs, coeffs))
     except OverflowError:  # finite parts, modulus beyond the largest double
@@ -354,6 +428,8 @@ def _fibre(f: RationalMap, w: complex) -> tuple[list[complex], float]:
     if peak < math.inf:
         return coeffs, peak
     # 2**-e takes every |coefficient| below 2**(_RESCALE_EXP + 3)
+    nc = f._num_padded
+    dc = f._den_padded
     cmax = max(max(abs(c.real), abs(c.imag)) for c in nc + dc)
     e = math.frexp(max(abs(w.real), abs(w.imag), 1.0))[1] + math.frexp(cmax)[1] - _RESCALE_EXP
     ws, *ns = [complex(math.ldexp(c.real, -e), math.ldexp(c.imag, -e)) for c in (w, *nc)]
@@ -369,21 +445,46 @@ def preimages(f: RationalMap, z: SpherePoint) -> list[SpherePoint]:
     solutions are the denominator roots, padded with infinity.  The list
     order (sorted by real then imaginary part, infinity last) is the fixed
     branch labelling used everywhere else.
+
+    The fibre coefficients come from the map's (num_k, den_k) pairs, stored
+    at construction, and each |coefficient| is taken once, for both the
+    largest modulus and the degree-drop cut.  A cubic goes through the
+    unrolled sweep :func:`_aberth_cubic`.  Coefficients that overflow or
+    need the power-of-two normalization are formed again by
+    :func:`_fibre` and :func:`_normalized`.
     """
     d = f.degree
-    if is_inf(z):
+    if z is INF:
         return _sorted_with_padding(polynomial_roots(f.denominator.coeffs), d)
-    coeffs, maxmag = _normalized(*_fibre(f, z))
-    top = len(coeffs) - 1
-    if maxmag == 0.0:
-        # cannot happen for a genuine degree >= 1 map; guard for totality
-        return [INF] * d
-    cut = _LEAD_DROP * maxmag
-    while top > 0 and abs(coeffs[top]) <= cut:
+    coeffs = [n - z * c for n, c in f._fibre_pairs]
+    try:
+        mags = [abs(c) for c in coeffs]
+        peak = max(mags)
+    except OverflowError:  # finite parts, modulus beyond the largest double
+        peak = math.inf
+    if not _RESCALE_BELOW <= peak <= _RESCALE_ABOVE:
+        coeffs, peak = _normalized(*_fibre(f, z))
+        if peak == 0.0:
+            # cannot happen for a genuine degree >= 1 map; guard for totality
+            return [INF] * d
+        mags = [abs(c) for c in coeffs]
+    cut = _LEAD_DROP * peak
+    top = d
+    while top > 0 and mags[top] <= cut:
         top -= 1
-    if top == 0 or abs(coeffs[top]) <= cut:
+    if top == 0:
         return [INF] * d
-    return _sorted_with_padding(_roots(coeffs[: top + 1]), d)
+    if top == 2:
+        a, b = _quadratic_roots(coeffs[2], coeffs[1], coeffs[0])
+        # the order of the keyed sort, in one (re, im) compare
+        roots = [b, a] if (b.real, b.imag) < (a.real, a.imag) else [a, b]
+    else:
+        roots = _roots(coeffs if top == d else coeffs[: top + 1])
+        if top > 2:
+            roots.sort(key=_branch_key)
+    if top < d:
+        roots.extend([INF] * (d - top))
+    return roots
 
 
 # ---------------------------------------------------------------------------

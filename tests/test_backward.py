@@ -12,7 +12,13 @@ from semijulia.backward import (
     tree_atoms,
 )
 from semijulia.measure import Viewport, bin_cloud, cesaro_average
-from semijulia.ratmap import SolverDivergence, evaluate, preimages, rational_map
+from semijulia.ratmap import (
+    SolverDivergence,
+    evaluate,
+    preimages,
+    preimages_batch,
+    rational_map,
+)
 from semijulia.semigroup import (
     ProbabilityVector,
     Semigroup,
@@ -248,6 +254,32 @@ def test_orbit_forward_consistency():
         assert chordal_distance(evaluate(sg.generators[j], z), prev) <= 1e-9
         assert chordal_distance(preimages(sg.generators[j], prev)[r], z) <= 1e-9
         prev = z
+
+
+def test_cubic_rational_chain_steps_are_batch_preimages():
+    # each step of the scalar chain is, bit for bit, the batch fibre of its
+    # predecessor at the decoded branch
+    sg = Semigroup(
+        (rational_map([0.3, 0, 0, 1]), rational_map([0.5, 0, 1], [0, 1.5])),
+        ProbabilityVector([0.5, 0.5]),
+    )
+    orbit = random_backward_orbit(sg, 0.3 + 0.2j, 2000, seed=11)
+    decode = build_index_distribution(sg).decode
+    gen, branch = np.array([decode[s] for s in orbit.symbols]).T
+    prev_zs = np.concatenate([[0.3 + 0.2j], orbit.zs[:-1]])
+    prev_inf = np.concatenate([[False], orbit.at_inf[:-1]])
+    assert not orbit.at_inf.any()
+    expected = np.empty(len(orbit), dtype=complex)
+    for j, g in enumerate(sg.generators):
+        rows = np.flatnonzero(gen == j)
+        assert rows.size > 500
+        roots, inf = preimages_batch(g, prev_zs[rows], prev_inf[rows])
+        assert not inf[np.arange(rows.size), branch[rows]].any()
+        expected[rows] = roots[np.arange(rows.size), branch[rows]]
+    got = [repr(z) for z in orbit.zs.tolist()]
+    want = [repr(z) for z in expected.tolist()]
+    bad = [k for k in range(len(got)) if got[k] != want[k]]
+    assert not bad, (f"{len(bad)} steps differ; first", bad[0], got[bad[0]], want[bad[0]])
 
 
 def test_orbit_requires_positive_length():

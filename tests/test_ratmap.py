@@ -11,6 +11,7 @@ from semijulia.ratmap import (
     Polynomial,
     SolverDivergence,
     evaluate,
+    fibre_polynomial,
     polynomial_roots,
     preimages,
     preimages_batch,
@@ -407,3 +408,123 @@ def test_batch_raises_divergence_like_scalar(monkeypatch):
     with pytest.raises(SolverDivergence) as batch:
         batch_rows(f, [0.5 + 0j, 1j])
     assert batch.value.coeffs == scalar.value.coeffs
+
+
+# ---------------------------------------------------------------------------
+# the unrolled degree-3 sweep against the batch rows, which follow the
+# generic Ehrlich-Aberth loop operation by operation
+
+
+def cubic():
+    return rational_map([0.3, 0, 0, 1])  # z^3 + 0.3
+
+
+def assert_same_reprs(got, want):
+    # item by item, so a failure names the first differing entry instead of
+    # diffing two long strings
+    got, want = [repr(x) for x in got], [repr(x) for x in want]
+    assert len(got) == len(want)
+    bad = [k for k in range(len(got)) if got[k] != want[k]]
+    assert not bad, (f"{len(bad)} of {len(got)} differ; first", bad[0], got[bad[0]], want[bad[0]])
+
+
+def test_cubic_scalar_matches_batch_rows_on_seeded_points():
+    rng = np.random.default_rng(7)
+    zs = 3.0 * rng.random(2000) * np.exp(2j * np.pi * rng.random(2000))
+    zs[:8] = [0.3, 0.0, -0.3, 1e-9, 1e6, 2j, -0.0, 0.3 + 1e-12j]
+    pts = zs.tolist()
+    assert_same_reprs([preimages(cubic(), z) for z in pts], batch_rows(cubic(), pts))
+
+
+def test_cubic_scalar_matches_batch_rows_on_seeded_maps():
+    # the fibre polynomials of 2,000 random cubic maps, one batch kernel call
+    from semijulia.ratmap import _aberth_rows
+
+    rng = np.random.default_rng(31)
+    fibres = []
+    while len(fibres) < 2000:
+        num = rng.normal(size=(4, 2)) @ [1, 1j]
+        den = rng.normal(size=(rng.integers(1, 5), 2)) @ [1, 1j]
+        try:
+            f = rational_map(num, den)
+        except ValueError:  # a shared root, refused
+            continue
+        fibres.append(fibre_polynomial(f, complex(*rng.normal(size=2))))
+    c = np.array(fibres)
+    rows = np.empty((len(fibres), 3), dtype=complex)
+    rows.real, rows.imag = _aberth_rows(c.real, c.imag)
+    assert_same_reprs([polynomial_roots(cs) for cs in fibres], rows.tolist())
+
+
+@pytest.fixture
+def generic_loop_calls(monkeypatch):
+    """Every coefficient list the generic loop is called with."""
+    import semijulia.ratmap as ratmap
+
+    calls = []
+    generic = ratmap._aberth_roots
+
+    def spy(coeffs):
+        calls.append(list(coeffs))
+        return generic(coeffs)
+
+    monkeypatch.setattr(ratmap, "_aberth_roots", spy)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "starts",
+    [
+        # two equal starting directions: two iterates coincide
+        lambda u: (u[0], u[0], u[2]),
+        # the fibre z^3 + 0.3 - w has no linear term, so its derivative vanishes at 0
+        lambda u: (0j, u[1], u[2]),
+    ],
+    ids=["zero pair difference", "zero derivative"],
+)
+def test_cubic_rare_first_sweep_reruns_generic_loop(monkeypatch, generic_loop_calls, starts):
+    # no cubic met in practice reaches either branch; moved starting
+    # directions do, in the first sweep
+    import semijulia.ratmap as ratmap
+
+    monkeypatch.setattr(ratmap, "_CUBIC_START", starts(ratmap._CUBIC_START))
+    z = 0.5 + 0.25j
+    assert repr(preimages(cubic(), z)) == repr(batch_rows(cubic(), [z])[0])
+    assert len(generic_loop_calls) == 1
+
+
+def test_cubic_sweep_budget_reruns_generic_loop(monkeypatch, generic_loop_calls):
+    # the smallest budget that does not raise ends with the last sweep's
+    # update, which the final residual check accepts
+    import semijulia.ratmap as ratmap
+
+    z = 0.5 + 0.25j
+    full = repr(preimages(cubic(), z))
+    assert generic_loop_calls == []
+    for budget in range(1, 60):
+        monkeypatch.setattr(ratmap, "_MAX_SWEEPS", budget)
+        try:
+            roots = preimages(cubic(), z)
+        except SolverDivergence as err:
+            assert err.sweeps == budget
+            assert list(err.coeffs) == generic_loop_calls[-1]
+            with pytest.raises(SolverDivergence) as batch:
+                batch_rows(cubic(), [z])
+            assert batch.value.coeffs == err.coeffs
+            continue
+        break
+    assert budget > 1
+    assert len(generic_loop_calls) == budget
+    assert repr(roots) == full == repr(batch_rows(cubic(), [z])[0])
+
+
+def test_cubic_nan_residual_counts_as_converged(generic_loop_calls):
+    # the monic constant 1e300 overflows x^3 in the first sweep; a NaN
+    # residual passes the stop test of the unrolled sweep as it passes the
+    # generic loop's, so the sweep stops there without a rerun
+    import semijulia.ratmap as ratmap
+
+    cs = [1 + 0j, 0j, 0j, 1e-300 + 0j]
+    roots = polynomial_roots(cs)
+    assert generic_loop_calls == []
+    assert repr(roots) == repr(ratmap._aberth_roots(cs))
