@@ -115,11 +115,6 @@ class BackwardOrbit(_PointArrays):
 # full backward tree
 
 
-# Rows per preimages_batch call of a tree level: like the invariance check's
-# block, it bounds the root solver's (rows, d) temporaries and so peak memory.
-_EXPAND_ROWS = 2**14
-
-
 def _expand_level_fast(sg: Semigroup, zs: np.ndarray) -> np.ndarray:
     """One tree level for polynomial generators of degree <= 2, vectorized
     in numpy's complex arithmetic (for its speed see ROADMAP.md, open item 3).
@@ -168,14 +163,8 @@ def _expand_level(
     ):
         kids = _expand_level_fast(sg, zs)
         return kids, np.zeros(kids.size, dtype=bool)
-    d = sg.total_degree
-    roots = np.empty((zs.size, d), dtype=complex)
-    inf = np.empty((zs.size, d), dtype=bool)
-    for s in range(0, zs.size, _EXPAND_ROWS):
-        rows, col = slice(s, s + _EXPAND_ROWS), 0
-        for g in sg.generators:
-            cols, col = slice(col, col + g.degree), col + g.degree
-            roots[rows, cols], inf[rows, cols] = preimages_batch(g, zs[rows], at_inf[rows])
+    fibres = [preimages_batch(g, zs, at_inf) for g in sg.generators]
+    roots, inf = (np.hstack(parts) for parts in zip(*fibres))
     return roots.reshape(-1), inf.reshape(-1)
 
 

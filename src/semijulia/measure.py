@@ -303,10 +303,9 @@ def circle_chordal_distance(
 # with at_inf marking the points at infinity (their zs entry is ignored).
 TestFunction = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
-# Atoms per block of the invariance check.  The degree >= 3 root solver
-# keeps a few dozen (block, d) temporaries alive, so the block bounds the
-# check's peak memory: with 2**16 a z^3+0.3 chain job's peak RSS went from
-# 74 to 124 MB, and the job got slower too (the temporaries left the cache).
+# Atoms per block of the invariance check.  The block bounds the check's
+# (block, d) fibre arrays and the test-function values taken on them, and so
+# its peak memory; the root solver bounds its own temporaries.
 _INVARIANCE_BLOCK = 2**14
 
 
@@ -448,10 +447,6 @@ def cesaro_average(orbit: BackwardOrbit, phi: TestFunction, burn_in: int = 0) ->
 # stable text export
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def grid_to_text(g: GridMeasure) -> str:
     """Stable plain-text serialization: header lines (viewport, resolution,
     overflow) then one row of cell values per line.  Byte-identical for
@@ -459,13 +454,14 @@ def grid_to_text(g: GridMeasure) -> str:
     vp = g.viewport
     lines = [
         "semijulia-grid 1",
-        f"center {_fmt(vp.center.real)} {_fmt(vp.center.imag)}",
-        f"size {_fmt(vp.width)} {_fmt(vp.height)}",
+        f"center {vp.center.real!r} {vp.center.imag!r}",
+        f"size {vp.width!r} {vp.height!r}",
         f"resolution {vp.nx} {vp.ny}",
-        f"outside {_fmt(g.outside_mass)}",
+        f"outside {float(g.outside_mass)!r}",
     ]
-    for row in g.cells:
-        lines.append(" ".join(_fmt(v) for v in row))
+    # float by float: row.tolist() and map(float, row) format faster, but
+    # each raised the peak RSS of a 512x512 grid job by 0.7-2 MB
+    lines.extend(" ".join(repr(float(v)) for v in row) for row in g.cells)
     return "\n".join(lines) + "\n"
 
 

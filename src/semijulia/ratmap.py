@@ -47,6 +47,13 @@ _RESCALE_EXP = 500
 _RESCALE_ABOVE = 2.0**_RESCALE_EXP
 _RESCALE_BELOW = 2.0**-_RESCALE_EXP
 
+# Rows per block of :func:`preimages_batch`.  The degree >= 3 root solver
+# keeps a few dozen (rows, d) temporaries alive, so the block bounds its
+# peak memory: with 2**16 rows a z^3+0.3 chain job's invariance check took
+# peak RSS from 74 to 124 MB, and the job got slower too (the temporaries
+# left the cache).
+_BATCH_ROWS = 2**14
+
 
 class SolverDivergence(RuntimeError):
     """Simultaneous root iteration failed to reach residual tolerance."""
@@ -141,7 +148,7 @@ def _aberth_roots(coeffs: Sequence[complex]) -> list[complex]:
             scale = 0.0
             for m in reversed(coeff_mag):
                 scale = scale * ax + m
-            if abs(p) > _RESIDUAL_TOL * max(scale, 1.0):
+            if not abs(p) <= _RESIDUAL_TOL * max(scale, 1.0):  # NaN included
                 all_small = False
             dp = _horner(deriv, x)
             if dp == 0:
@@ -168,7 +175,7 @@ def _aberth_roots(coeffs: Sequence[complex]) -> list[complex]:
             scale = 0.0
             for m in reversed(coeff_mag):
                 scale = scale * ax + m
-            if abs(_horner(monic, x)) > _RESIDUAL_TOL * max(scale, 1.0):
+            if not abs(_horner(monic, x)) <= _RESIDUAL_TOL * max(scale, 1.0):
                 raise SolverDivergence(coeffs, _MAX_SWEEPS)
 
     polished = []
@@ -190,7 +197,7 @@ def _aberth_cubic(coeffs: Sequence[complex]) -> list[complex]:
     operations in the same order, so the same roots bit for bit.
 
     Horner starts from 0j, the stop test is the same (a NaN residual counts
-    as converged), and each root pair is divided once: 1 / (x_j - x_i) is
+    as not converged), and each root pair is divided once: 1 / (x_j - x_i) is
     exactly -(1 / (x_i - x_j)).  The rare sweeps, a zero pair difference or
     derivative, and no convergence within ``_MAX_SWEEPS``, rerun the generic
     loop from the start instead, which gives the same roots, or the same
@@ -215,10 +222,10 @@ def _aberth_cubic(coeffs: Sequence[complex]) -> list[complex]:
         a = abs(x2)
         s2 = (((0.0 * a + g3) * a + g2) * a + g1) * a + g0
         # max(s, 1.0), NaN included
-        if not (
-            abs(p0) > tol * (1.0 if 1.0 > s0 else s0)
-            or abs(p1) > tol * (1.0 if 1.0 > s1 else s1)
-            or abs(p2) > tol * (1.0 if 1.0 > s2 else s2)
+        if (
+            abs(p0) <= tol * (1.0 if 1.0 > s0 else s0)
+            and abs(p1) <= tol * (1.0 if 1.0 > s1 else s1)
+            and abs(p2) <= tol * (1.0 if 1.0 > s2 else s2)
         ):
             break
         dp0 = ((0j * x0 + d2) * x0 + d1) * x0 + d0
@@ -543,7 +550,7 @@ def _sqrt(ar, ai):
 
 def _quadratic_rows(ar, ai, br, bi, cr, ci):
     """:func:`_quadratic_roots` on every row: the two roots of
-    a z^2 + b z + c as (m, 2) real and imaginary parts."""
+    a z^2 + b z + c (c != 0) as (m, 2) real and imaginary parts."""
     fr, fi = _mul(*_mul(4.0, 0.0, ar, ai), cr, ci)
     dr, di = _mul(br, bi, br, bi)
     sr, si = _sqrt(dr - fr, di - fi)
@@ -555,14 +562,8 @@ def _quadratic_rows(ar, ai, br, bi, cr, ci):
         np.where(plus, br + sr, br - sr),
         np.where(plus, bi + si, bi - si),
     )
-    # c == 0: the roots are 0 and -b/a
-    zero_c = (cr == 0) & (ci == 0)
-    r1 = _div(qr, qi, ar, ai)
-    r2 = _div(cr, ci, np.where(zero_c, 1.0, qr), np.where(zero_c, 0.0, qi))
-    r2_zero_c = _div(-br, -bi, ar, ai)
-    first = [np.where(zero_c, 0.0, part) for part in r1]
-    second = [np.where(zero_c, p0, part) for p0, part in zip(r2_zero_c, r2)]
-    return np.stack([first[0], second[0]], axis=1), np.stack([first[1], second[1]], axis=1)
+    (r1r, r1i), (r2r, r2i) = _div(qr, qi, ar, ai), _div(cr, ci, qr, qi)
+    return np.stack([r1r, r2r], axis=1), np.stack([r1i, r2i], axis=1)
 
 
 def _aberth_sums(xr, xi):
@@ -674,55 +675,54 @@ def preimages_batch(
     stand for the point at infinity).  Returns ``(roots, inf)``, both of
     shape (N, degree(f)): row n lists the preimages of point n in the same
     branch order as :func:`preimages`, with ``inf`` marking the entries at
-    infinity (their ``roots`` entry is 0).  Row by row it applies the same
-    degree-drop rule, the same closed forms for degree <= 2 and the same
-    Ehrlich-Aberth iteration above that, with the same floating-point
-    operations, on all rows together; any row that does not converge raises
-    :class:`SolverDivergence`.
+    infinity (their ``roots`` entry is 0).
+
+    Only the common row is vectorized: a finite point whose fibre
+    coefficients have their largest modulus in [2^-500, 2^500], a leading
+    coefficient above the degree-drop cut and, for degree 2, a nonzero
+    constant.  Its roots come from the same closed forms (degree <= 2) or
+    Ehrlich-Aberth iteration (above) as the scalar path, with the same
+    floating-point operations, on all such rows together; any row that does
+    not converge raises :class:`SolverDivergence`.  Every other finite row is
+    one :func:`preimages` call, and the rows at infinity share one.  Rows go
+    through in blocks of ``_BATCH_ROWS``.
     """
     zs = np.asarray(zs, dtype=complex).reshape(-1)
     at_inf = np.asarray(at_inf, dtype=bool).reshape(-1)
     d = f.degree
     roots = np.zeros((zs.size, d), dtype=complex)
-    inf = np.ones((zs.size, d), dtype=bool)
+    inf = np.zeros((zs.size, d), dtype=bool)
     if at_inf.any():
         # the fibre over infinity is one fixed list, shared by every such row
         roots[at_inf], inf[at_inf] = to_arrays(preimages(f, INF))
-    rows = np.flatnonzero(~at_inf)
-    if rows.size == 0:
-        return roots, inf
+    # the (real, imag) parts of each root, written in place
+    parts = roots.view(float).reshape(zs.size, d, 2)
     num = np.array(f._num_padded)
     den = np.array(f._den_padded)
-    with np.errstate(all="ignore"):
-        pr, pi = _mul(zs.real[rows, None], zs.imag[rows, None], den.real, den.imag)
-        cr, ci = num.real - pr, num.imag - pi
-        mag = np.hypot(cr, ci)
-        # the rare rows whose largest |coefficient| overflows, or needs the
-        # power-of-two normalization, take the scalar path's coefficients
-        peak = mag.max(axis=1)
-        rare = ~((peak >= _RESCALE_BELOW) & (peak <= _RESCALE_ABOVE) | (peak == 0.0))
-        for r in np.flatnonzero(rare).tolist():
-            c = np.array(_normalized(*_fibre(f, complex(zs[rows[r]])))[0])
-            cr[r], ci[r], mag[r] = c.real, c.imag, np.hypot(c.real, c.imag)
-        above = mag[:, 1:] > (_LEAD_DROP * mag.max(axis=1))[:, None]
-        # effective degree: highest k >= 1 whose coefficient survives the cut
-        # (0, all preimages at infinity, when none does)
-        top = np.where(above.any(axis=1), d - np.argmax(above[:, ::-1], axis=1), 0)
-        for t in np.unique(top[top > 0]).tolist():
-            sel = top == t
-            c_r, c_i = cr[sel, : t + 1], ci[sel, : t + 1]
-            if t == 1:
-                re, im = _div(-c_r[:, :1], -c_i[:, :1], c_r[:, 1:], c_i[:, 1:])
-            elif t == 2:
-                re, im = _quadratic_rows(
-                    c_r[:, 2], c_i[:, 2], c_r[:, 1], c_i[:, 1], c_r[:, 0], c_i[:, 0]
-                )
+    finite = np.flatnonzero(~at_inf)
+    for s in range(0, finite.size, _BATCH_ROWS):
+        rows = finite[s : s + _BATCH_ROWS]
+        with np.errstate(all="ignore"):
+            pr, pi = _mul(zs.real[rows, None], zs.imag[rows, None], den.real, den.imag)
+            cr, ci = num.real - pr, num.imag - pi
+            mag = np.hypot(cr, ci)
+            peak = mag.max(axis=1)  # NaN or inf for a non-finite row
+            common = (peak >= _RESCALE_BELOW) & (peak <= _RESCALE_ABOVE)
+            common &= mag[:, d] > _LEAD_DROP * peak
+            if d == 2:
+                common &= mag[:, 0] > 0.0
+            for r in rows[~common].tolist():
+                roots[r], inf[r] = to_arrays(preimages(f, complex(zs[r])))
+            rows, cr, ci = rows[common], cr[common], ci[common]
+            if rows.size == 0:  # the solver would run every sweep on no rows
+                continue
+            if d == 1:
+                re, im = _div(-cr[:, :1], -ci[:, :1], cr[:, 1:], ci[:, 1:])
+            elif d == 2:
+                re, im = _quadratic_rows(cr[:, 2], ci[:, 2], cr[:, 1], ci[:, 1], cr[:, 0], ci[:, 0])
             else:
-                re, im = _aberth_rows(c_r, c_i)
-            order = np.lexsort((im, re), axis=1)
-            block = roots[rows[sel], :t]
-            block.real = np.take_along_axis(re, order, axis=1)
-            block.imag = np.take_along_axis(im, order, axis=1)
-            roots[rows[sel], :t] = block
-            inf[rows[sel], :t] = False
+                re, im = _aberth_rows(cr, ci)
+        order = np.lexsort((im, re), axis=1)
+        parts[rows, :, 0] = np.take_along_axis(re, order, axis=1)
+        parts[rows, :, 1] = np.take_along_axis(im, order, axis=1)
     return roots, inf

@@ -390,6 +390,55 @@ def test_batch_mixed_degrees_and_infinity_in_one_call():
     assert batch_rows(f, pts) == [preimages(f, z) for z in pts]
 
 
+@pytest.mark.parametrize(
+    "f, common, exceptional",
+    [
+        # (z+1)/(2z+3): f(inf) = 1/2 drops the degree to 0
+        (rational_map([1, 1], [3, 2]), [0.3 + 0.1j, -2j], [0.5 + 0j, 1.7e308 + 0j]),
+        # (z^2+1)/(z^2+2): f(inf) = 1, and f(0) = 1/2 makes the constant 0
+        (
+            rational_map([1, 0, 1], [2, 0, 1]),
+            [0.3 + 0.1j, -2j, 3 + 1j],
+            [1 + 0j, 0.5 + 0j, 1e200 + 0j, 1.7e308 + 0j],
+        ),
+        # every finite row below 2**-500 or dropped: no common row at all
+        (rational_map([1e-200, 0, 1e-200]), [], [0j, 1 + 0j, 1.7e308 + 0j]),
+        # (z^3+2)/(z^3+1): f(inf) = 1; a zero constant (z = 2) is common
+        (
+            rational_map([2, 0, 0, 1], [1, 0, 0, 1]),
+            [0.3 + 0.1j, 2 + 0j, -2j],
+            [1 + 0j, 1.7e308 + 0j],
+        ),
+        # cubic over quintic: at f(inf) = 0 and at 1e-20 three finite roots
+        # and two at infinity
+        (
+            rational_map([1, 2, 0, 1], [2, 0, 1, 0, 0, 1]),
+            [0.3 + 0.1j, -2j, 3 + 1j],
+            [0j, 1e-20 + 0j, 1.7e308 + 0j],
+        ),
+    ],
+    ids=["degree 1", "degree 2", "degree 2 below 2**-500", "degree 3", "degree 5"],
+)
+def test_batch_sends_each_exceptional_row_to_one_scalar_call(monkeypatch, f, common, exceptional):
+    # one call mixes common rows, every exceptional row and infinity; each
+    # row is the scalar result, and only the exceptional rows (plus the one
+    # shared fibre over infinity) go through scalar preimages
+    import semijulia.ratmap as ratmap
+
+    pts = [INF, *common, *exceptional, INF, *common]
+    want = [preimages(f, z) for z in pts]
+    calls = []
+    scalar = ratmap.preimages
+
+    def spy(f, z):
+        calls.append(z)
+        return scalar(f, z)
+
+    monkeypatch.setattr(ratmap, "preimages", spy)
+    assert repr(batch_rows(f, pts)) == repr(want)
+    assert calls == [INF, *exceptional]
+
+
 def test_batch_cubic_rows_follow_scalar_branch_order():
     f = rational_map([0.3, 0, 0, 1])
     pts = [cmath.rect(0.2 + 0.1 * k, 0.7 * k) for k in range(40)]
@@ -518,13 +567,24 @@ def test_cubic_sweep_budget_reruns_generic_loop(monkeypatch, generic_loop_calls)
     assert repr(roots) == full == repr(batch_rows(cubic(), [z])[0])
 
 
-def test_cubic_nan_residual_counts_as_converged(generic_loop_calls):
+def test_nan_residual_never_passes_the_stop_test():
     # the monic constant 1e300 overflows x^3 in the first sweep; a NaN
-    # residual passes the stop test of the unrolled sweep as it passes the
-    # generic loop's, so the sweep stops there without a rerun
-    import semijulia.ratmap as ratmap
+    # residual counts as not converged in the unrolled sweep, the generic
+    # loop and the batch rows alike, so all of them raise on the same
+    # coefficients instead of returning NaN roots
+    from semijulia.ratmap import _aberth_cubic, _aberth_roots, _aberth_rows
 
     cs = [1 + 0j, 0j, 0j, 1e-300 + 0j]
-    roots = polynomial_roots(cs)
-    assert generic_loop_calls == []
-    assert repr(roots) == repr(ratmap._aberth_roots(cs))
+    c = np.array([cs])
+    for solve in (
+        _aberth_cubic,
+        _aberth_roots,
+        polynomial_roots,
+        lambda cs: _aberth_rows(c.real, c.imag),
+    ):
+        with np.errstate(all="ignore"), pytest.raises(SolverDivergence) as err:
+            solve(cs)
+        assert err.value.coeffs == tuple(cs)
+    # the preimages of infinity are the roots of that denominator
+    with pytest.raises(SolverDivergence):
+        preimages(rational_map([1], [1e300, 0, 0, 1]), INF)
