@@ -227,17 +227,22 @@ def tree_atoms(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Atoms ``idx`` of :func:`full_backward_tree` as ``(zs, at_inf)``, without
     building the tree.  Atom k is the preimage word spelled by the base-d
-    digits of k, most significant first: each level expands every row and
-    keeps the child its digit names."""
+    digits of k, most significant first.  Each level expands every distinct
+    prefix of the asked words once and keeps the children those words name;
+    the atoms are gathered from the full words at the end."""
     d, idx = sg.total_degree, np.asarray(idx, dtype=np.int64)
     if depth < 0 or (idx.size and not 0 <= idx.min() <= idx.max() < d**depth):
         raise ValueError(f"need depth >= 0 and atom indices in [0, {d}^{depth})")
-    zs, at_inf = (np.repeat(a, idx.size) for a in to_arrays([ensure_point(start)]))
+    zs, at_inf = to_arrays([ensure_point(start)])
+    words = np.zeros(1, dtype=np.int64)  # row r holds the point of prefix words[r]
     for level in reversed(range(depth)):
         kids, kids_inf = _expand_level(sg, zs, at_inf)
-        col = np.arange(idx.size) * d + (idx // d**level) % d
-        zs, at_inf = kids[col], kids_inf[col]
-    return zs, at_inf
+        prefixes = np.unique(idx // d**level)
+        # child (prefix mod d) of the parent prefix // d, parent-major
+        col = np.searchsorted(words, prefixes // d) * d + prefixes % d
+        zs, at_inf, words = kids[col], kids_inf[col], prefixes
+    row = np.searchsorted(words, idx)
+    return zs[row], at_inf[row]
 
 
 def full_backward_tree(

@@ -459,10 +459,14 @@ def grid_to_text(g: GridMeasure) -> str:
         f"resolution {vp.nx} {vp.ny}",
         f"outside {float(g.outside_mass)!r}",
     ]
-    # float by float: row.tolist() and map(float, row) format faster, but
-    # each raised the peak RSS of a 512x512 grid job by 0.7-2 MB
-    lines.extend(" ".join(repr(float(v)) for v in row) for row in g.cells)
-    return "\n".join(lines) + "\n"
+    # a grid holds few distinct values: each is formatted once, keyed by its
+    # 64-bit pattern so that -0.0 and every NaN keep their own repr
+    cells = np.ascontiguousarray(g.cells, dtype=float)
+    keys, which = np.unique(cells.view(np.uint64), return_inverse=True)
+    texts = np.array([repr(v) for v in keys.view(float).tolist()], dtype=object)
+    lines.extend(" ".join(row) for row in texts[which.reshape(cells.shape)].tolist())
+    lines.append("")
+    return "\n".join(lines)
 
 
 def grid_from_text(text: str) -> GridMeasure:

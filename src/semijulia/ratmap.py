@@ -417,6 +417,12 @@ def _sorted_with_padding(finite: list[complex], degree: int) -> list[SpherePoint
     return out
 
 
+def _ordered_pair(a: complex, b: complex) -> list[complex]:
+    """Two finite roots in the order of the keyed sort, in one (re, im)
+    compare."""
+    return [b, a] if (b.real, b.imag) < (a.real, a.imag) else [a, b]
+
+
 def fibre_polynomial(f: RationalMap, w: SpherePoint) -> list[complex]:
     """The degree(f)+1 ascending coefficients whose roots are the preimages
     of w: num - w*den, or den for w at infinity; each leading coefficient
@@ -455,14 +461,29 @@ def preimages(f: RationalMap, z: SpherePoint) -> list[SpherePoint]:
 
     The fibre coefficients come from the map's (num_k, den_k) pairs, stored
     at construction, and each |coefficient| is taken once, for both the
-    largest modulus and the degree-drop cut.  A cubic goes through the
-    unrolled sweep :func:`_aberth_cubic`.  Coefficients that overflow or
+    largest modulus and the degree-drop cut.  A quadratic whose fibre keeps
+    its degree and needs no normalization is solved straight-line by the
+    closed form; a cubic goes through the unrolled sweep
+    :func:`_aberth_cubic`.  Coefficients that overflow or
     need the power-of-two normalization are formed again by
     :func:`_fibre` and :func:`_normalized`.
     """
     d = f.degree
     if z is INF:
         return _sorted_with_padding(polynomial_roots(f.denominator.coeffs), d)
+    if d == 2:
+        # the common row of a quadratic, straight-line: the fibre, its peak
+        # (max over |c|, |b|, |a| as below) and the closed form; every other
+        # row falls through to the general code
+        (n0, d0), (n1, d1), (n2, d2) = f._fibre_pairs
+        c, b, a = n0 - z * d0, n1 - z * d1, n2 - z * d2
+        try:
+            lead = abs(a)
+            peak = max(abs(c), abs(b), lead)
+        except OverflowError:
+            peak = math.inf
+        if _RESCALE_BELOW <= peak <= _RESCALE_ABOVE and lead > _LEAD_DROP * peak:
+            return _ordered_pair(*_quadratic_roots(a, b, c))
     coeffs = [n - z * c for n, c in f._fibre_pairs]
     try:
         mags = [abs(c) for c in coeffs]
@@ -482,9 +503,7 @@ def preimages(f: RationalMap, z: SpherePoint) -> list[SpherePoint]:
     if top == 0:
         return [INF] * d
     if top == 2:
-        a, b = _quadratic_roots(coeffs[2], coeffs[1], coeffs[0])
-        # the order of the keyed sort, in one (re, im) compare
-        roots = [b, a] if (b.real, b.imag) < (a.real, a.imag) else [a, b]
+        roots = _ordered_pair(*_quadratic_roots(coeffs[2], coeffs[1], coeffs[0]))
     else:
         roots = _roots(coeffs if top == d else coeffs[: top + 1])
         if top > 2:

@@ -87,9 +87,15 @@ def _apply_colormap(t: np.ndarray, spec: ImageSpec) -> np.ndarray:
     k = len(anchors)
     pos = np.clip(t, 0.0, 1.0) * (k - 1)
     lo = np.minimum(pos.astype(np.int64), k - 2)
-    frac = (pos - lo)[..., None]
-    rgb = table[lo] * (1.0 - frac) + table[lo + 1] * frac
-    return np.clip(np.rint(rgb), 0, 255).astype(np.uint8)
+    hi = lo + 1
+    frac = pos - lo
+    rest = 1.0 - frac
+    # one channel at a time, so no (ny, nx, 3) float temporary is held
+    rgb = np.empty(t.shape + (3,), dtype=np.uint8)
+    for c in range(3):
+        channel = table[lo, c] * rest + table[hi, c] * frac
+        rgb[..., c] = np.clip(np.rint(channel), 0, 255)
+    return rgb
 
 
 def render_density(g: GridMeasure, spec: ImageSpec) -> bytes:

@@ -210,6 +210,41 @@ def test_tree_atoms_edge_cases():
             tree_atoms(sg, 1, depth, idx)
 
 
+def test_tree_atoms_solve_each_fibre_once_per_level(monkeypatch):
+    # compare's 4,096-atom sample of the depth-9 (z^2, (z^2+1)/(z^2+2)) tree
+    # from 1: words that share a prefix share its solves.  1 is a degree
+    # drop of the second map, so every fibre over 1 is a scalar call
+    import semijulia.backward as backward
+    import semijulia.ratmap as ratmap
+    from semijulia.cli import _sample_indices
+
+    sg = Semigroup((rational_map([0, 0, 1]), rational_map([1, 0, 1], [2, 0, 1])))
+    idx = _sample_indices(4**9)
+    assert idx.size == 4096
+    levels = []
+    expand, scalar = backward._expand_level, ratmap.preimages
+
+    def level_spy(sg, zs, at_inf):
+        levels.append([])
+        return expand(sg, zs, at_inf)
+
+    def scalar_spy(f, z):
+        levels[-1].append((id(f), z))
+        return scalar(f, z)
+
+    monkeypatch.setattr(backward, "_expand_level", level_spy)
+    monkeypatch.setattr(ratmap, "preimages", scalar_spy)
+    zs, at_inf = tree_atoms(sg, 1, 9, idx)
+    monkeypatch.undo()
+    assert len(levels) == 9
+    for calls in levels:
+        assert len(calls) == len(set(calls))
+    assert sum(z == 1 for calls in levels for _, z in calls) == 9
+    tree = full_backward_tree(sg, 1, 9, check_start=False)
+    assert zs.tobytes() == tree.zs[idx].tobytes()
+    assert at_inf.tobytes() == tree.at_inf[idx].tobytes()
+
+
 def test_tree_rejects_exceptional_start():
     from semijulia.semigroup import ExceptionalStartPoint
 
@@ -256,23 +291,19 @@ def test_orbit_forward_consistency():
         prev = z
 
 
-def test_cubic_rational_chain_steps_are_batch_preimages():
+def assert_chain_steps_are_batch_preimages(sg, start, n, seed):
     # each step of the scalar chain is, bit for bit, the batch fibre of its
     # predecessor at the decoded branch
-    sg = Semigroup(
-        (rational_map([0.3, 0, 0, 1]), rational_map([0.5, 0, 1], [0, 1.5])),
-        ProbabilityVector([0.5, 0.5]),
-    )
-    orbit = random_backward_orbit(sg, 0.3 + 0.2j, 2000, seed=11)
+    orbit = random_backward_orbit(sg, start, n, seed=seed)
     decode = build_index_distribution(sg).decode
     gen, branch = np.array([decode[s] for s in orbit.symbols]).T
-    prev_zs = np.concatenate([[0.3 + 0.2j], orbit.zs[:-1]])
+    prev_zs = np.concatenate([[start], orbit.zs[:-1]])
     prev_inf = np.concatenate([[False], orbit.at_inf[:-1]])
     assert not orbit.at_inf.any()
     expected = np.empty(len(orbit), dtype=complex)
     for j, g in enumerate(sg.generators):
         rows = np.flatnonzero(gen == j)
-        assert rows.size > 500
+        assert rows.size > n // 4
         roots, inf = preimages_batch(g, prev_zs[rows], prev_inf[rows])
         assert not inf[np.arange(rows.size), branch[rows]].any()
         expected[rows] = roots[np.arange(rows.size), branch[rows]]
@@ -280,6 +311,19 @@ def test_cubic_rational_chain_steps_are_batch_preimages():
     want = [repr(z) for z in expected.tolist()]
     bad = [k for k in range(len(got)) if got[k] != want[k]]
     assert not bad, (f"{len(bad)} steps differ; first", bad[0], got[bad[0]], want[bad[0]])
+
+
+def test_cubic_rational_chain_steps_are_batch_preimages():
+    sg = Semigroup(
+        (rational_map([0.3, 0, 0, 1]), rational_map([0.5, 0, 1], [0, 1.5])),
+        ProbabilityVector([0.5, 0.5]),
+    )
+    assert_chain_steps_are_batch_preimages(sg, 0.3 + 0.2j, 2000, 11)
+
+
+def test_annulus_chain_steps_are_batch_preimages():
+    # the straight-line degree-2 path of scalar preimages, step by step
+    assert_chain_steps_are_batch_preimages(annulus_sg(), 1.5 + 0.5j, 5000, 7)
 
 
 def test_orbit_requires_positive_length():

@@ -586,6 +586,30 @@ def test_grid_text_is_stable():
     assert grid_to_text(g).startswith("semijulia-grid 1\n")
 
 
+def per_value_text(g):
+    # the export's rows as one repr per cell, the reference for each row
+    return [" ".join(repr(float(v)) for v in row) for row in g.cells]
+
+
+def test_grid_text_formats_every_bit_pattern_like_its_value():
+    # each distinct value is formatted once, keyed by its bits: -0.0 and the
+    # NaNs (two signs, a payload) keep their own repr
+    rng = np.random.default_rng(3)
+    special = np.array(
+        [0.0, -0.0, np.nan, -np.nan, math.inf, 5e-324, 1.7976931348623157e308]
+    )
+    payload_nan = np.array([0x7FF8000000000123], dtype=np.uint64).view(float)
+    values = np.concatenate(
+        [special, payload_nan, rng.random(10_000), rng.choice(special, 200)]
+    )
+    values = np.concatenate([values, np.zeros(100 * 103 - values.size)])
+    rng.shuffle(values)
+    vp = Viewport(center=0j, width=4.0, height=4.0, nx=103, ny=100)
+    g = GridMeasure(viewport=vp, cells=values.reshape(100, 103), outside_mass=0.0)
+    lines = grid_to_text(g).split("\n")
+    assert lines[5:] == [*per_value_text(g), ""]
+
+
 def test_grid_from_text_rejects_garbage():
     with pytest.raises(ValueError):
         grid_from_text("not a grid\n1 2 3\n")

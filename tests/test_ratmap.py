@@ -588,3 +588,126 @@ def test_nan_residual_never_passes_the_stop_test():
     # the preimages of infinity are the roots of that denominator
     with pytest.raises(SolverDivergence):
         preimages(rational_map([1], [1e300, 0, 0, 1]), INF)
+
+
+# ---------------------------------------------------------------------------
+# the straight-line degree-2 path of scalar preimages, against the batch
+# rows (an independent, vectorized kernel) and against the general path
+
+
+def quadratics():
+    return [
+        rational_map([0, 0, 1]),  # z^2
+        rational_map([0, 0, 0.25]),  # z^2/4
+        rational_map([0.5, 0, 1], [0, 1.5]),  # (z^2+0.5)/(1.5z)
+    ]
+
+
+def batch_rows_all_common(monkeypatch, f, pts):
+    """batch_rows, asserting that every row went through the vectorized
+    kernel (no scalar preimages call for an exceptional row)."""
+    import semijulia.ratmap as ratmap
+
+    def refuse(f, z):
+        raise AssertionError(f"row {z!r} is not a common row")
+
+    monkeypatch.setattr(ratmap, "preimages", refuse)
+    rows = batch_rows(f, pts)
+    monkeypatch.undo()
+    return rows
+
+
+@pytest.mark.parametrize("f", quadratics(), ids=["z^2", "z^2/4", "(z^2+0.5)/(1.5z)"])
+def test_quadratic_scalar_matches_batch_rows_on_seeded_points(monkeypatch, f):
+    rng = np.random.default_rng(17)
+    # the annulus 1 <= |z| <= 4 and well beyond it on either side
+    zs = 10.0 ** rng.uniform(-3, 3, 3000) * np.exp(2j * np.pi * rng.random(3000))
+    zs[:6] = [1, -1, 1j, 4, 0.25 - 0.5j, 3e-5]
+    pts = zs.tolist()
+    want = batch_rows_all_common(monkeypatch, f, pts)
+    assert_same_reprs([preimages(f, z) for z in pts], want)
+
+
+def test_quadratic_scalar_matches_batch_rows_on_random_maps(monkeypatch):
+    # one random point under each of 2,000 random maps of degree 2, rational
+    # ones included
+    rng = np.random.default_rng(23)
+    got, want = [], []
+    while len(got) < 2000:
+        dn, dd = rng.integers(0, 3, size=2)
+        if max(dn, dd) != 2:
+            continue
+        num = rng.normal(size=(dn + 1, 2)) @ [1, 1j]
+        den = rng.normal(size=(dd + 1, 2)) @ [1, 1j]
+        try:
+            f = rational_map(num, den)
+        except ValueError:  # a shared root, refused
+            continue
+        z = complex(*(3 * rng.normal(size=2)))
+        got.append(preimages(f, z))
+        want.append(batch_rows_all_common(monkeypatch, f, [z])[0])
+    assert_same_reprs(got, want)
+
+
+def general_path(f, z):
+    """The general path's answer from public pieces: the fibre polynomial
+    (scaled by a power of two where it overflows), cut where its leading
+    coefficients drop below 1e-14 of the largest, and polynomial_roots of
+    the rest, in branch order with infinity last."""
+    cs = fibre_polynomial(f, z)
+    mags = [abs(c) for c in cs]
+    cut = 1e-14 * max(mags)
+    top = f.degree
+    while top > 0 and mags[top] <= cut:
+        top -= 1
+    roots = sorted(polynomial_roots(cs[: top + 1]), key=lambda w: (w.real, w.imag))
+    return roots + [INF] * (f.degree - top)
+
+
+_EDGE = 2.0**500
+_PAST = 1 + 2.0**-52
+
+
+@pytest.mark.parametrize(
+    "num, den, z",
+    [
+        # c = 0: a zero constant, so a zero root
+        ([0, 0, 1], [1], 0j),
+        ([0, 1, 1], [1], 0j),
+        ([0.5, 0, 1], [0, 1.5], 0.5 - 0j),  # c = 0.5 - 0.5 = 0
+        # the lead a = 1 - z just at the degree-drop cut and just above it
+        ([1, 1, 1], [2, 0, 1], complex(_PAST)),
+        ([1, 1, 1], [2, 0, 1], 1 + 2.0**-44 + 0j),
+        ([1, 0, 1], [2, 0, 1], 1 + 0j),  # every coefficient but c vanishes
+        # the peak |c| = |z| just inside and just outside 2^500
+        ([0, 0, 1], [1], complex(_EDGE)),
+        ([0, 0, 1], [1], complex(_EDGE * _PAST)),
+        ([0, 0, 1], [1], -1j * _EDGE),
+        # the peak |a| = 2^-500 just inside, and just below it
+        ([0, 0, 1 / _EDGE], [1], complex(0.5 / _EDGE)),
+        ([0, 0, (1 - 2.0**-53) / _EDGE], [1], complex(0.5 / _EDGE)),
+        # far outside: unscaled, b*b - 4ac would underflow or overflow
+        ([0, 0, 1e-200], [1], 1e-200 + 0j),
+        ([1, 0, 1], [2, 0, 1], 1e200 + 0j),
+        # |z| overflows a double though both parts are finite
+        ([0, 0, 1], [1], 1.5e308 + 1.5e308j),
+        ([1, 0, 1], [2, 0, 1], 1.2e308 + 1.2e308j),
+        # z * (2+2j) has the real part inf - inf = nan
+        ([0, 0, 1], [2 + 2j], 1e308 + 1e308j),
+        # signed zeros in the point and in the coefficients
+        ([0, 0, 1], [1], complex(-0.0, 0.0)),
+        ([0, 0, 1], [1], complex(-0.0, -0.0)),
+        ([0, 0, 1], [1], complex(4, -0.0)),
+        ([0, 0, 1], [1], complex(-4, -0.0)),
+        ([complex(-0.0, 0.5), -0.0, complex(1, -0.0)], [1], complex(-0.0, 0.5)),
+        ([complex(0.5, -0.0), complex(-0.0, -0.0), 1], [complex(-0.0, 1.5)], -2 + 0j),
+    ],
+)
+def test_quadratic_edge_rows_match_the_general_path(num, den, z):
+    f = rational_map(num, den)
+    assert f.degree == 2
+    got = preimages(f, z)
+    assert repr(got) == repr(general_path(f, z))
+    assert repr(batch_rows(f, [z])) == repr([got])
+    for w in got:
+        assert chordal_distance(evaluate(f, w), z) <= 1e-9

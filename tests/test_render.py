@@ -113,6 +113,34 @@ def test_monotone_mass_to_luminance(name, scale):
     assert np.all(np.diff(lum) >= -1e-9)
 
 
+def broadcast_colormap(t, anchors):
+    # the colormap as one (ny, nx, 3) float computation, the reference for
+    # the channel-by-channel one
+    table = np.asarray(anchors, dtype=float)
+    k = len(anchors)
+    pos = np.clip(t, 0.0, 1.0) * (k - 1)
+    lo = np.minimum(pos.astype(np.int64), k - 2)
+    frac = (pos - lo)[..., None]
+    rgb = table[lo] * (1.0 - frac) + table[lo + 1] * frac
+    return np.clip(np.rint(rgb), 0, 255).astype(np.uint8)
+
+
+@pytest.mark.parametrize("name", sorted(COLORMAPS))
+def test_colormap_channels_match_the_broadcast_formula(name):
+    from semijulia.render import _apply_colormap
+
+    spec = ImageSpec(viewport=vp(), colormap=name, background=(7, 11, 13), foreground=(250, 3, 128))
+    anchors = COLORMAPS[name] or (spec.background, spec.foreground)
+    k = len(anchors)
+    exact = np.arange(k) / (k - 1)  # the anchor positions
+    t = np.concatenate([[0.0, 1.0], exact, np.random.default_rng(9).random(100_000)])
+    t = t.reshape(1, -1)
+    got = _apply_colormap(t, spec)
+    assert got.dtype == np.uint8 and got.shape == (1, t.size, 3)
+    assert got.tobytes() == broadcast_colormap(t, anchors).tobytes()
+    assert [tuple(p) for p in got[0, 2 : 2 + k]] == [tuple(a) for a in anchors]
+
+
 def test_viewport_mismatch():
     g = grid_with(np.zeros((4, 4)))
     spec = ImageSpec(viewport=Viewport(center=0j, width=2.0, height=2.0, nx=4, ny=4))
