@@ -53,7 +53,6 @@ from .semigroup import (
     build_index_distribution,
     exceptional_candidates,
     make_rng,
-    sample_branch,
     sample_branch_block,
     validate_assumptions,
 )

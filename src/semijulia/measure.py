@@ -412,6 +412,8 @@ def check_invariance(
     replacement) when a generator is supplied; preimages are computed once
     per block of atoms and shared across all test functions.
     """
+    if max_atoms < 1:
+        raise ValueError(f"max_atoms must be >= 1, got {max_atoms}")
     n = len(cloud)
     if n == 0:
         raise EmptySet("cannot check invariance of an empty cloud")
@@ -437,6 +439,8 @@ def check_invariance(
 
 def cesaro_average(orbit: BackwardOrbit, phi: TestFunction, burn_in: int = 0) -> float:
     """Time average of phi along the orbit after a burn-in prefix."""
+    if burn_in < 0:
+        raise ValueError(f"burn_in must be >= 0, got {burn_in}")
     zs, at_inf = orbit.zs[burn_in:], orbit.at_inf[burn_in:]
     if zs.size == 0:
         raise EmptyTail(f"burn_in {burn_in} >= orbit length {len(orbit)}")

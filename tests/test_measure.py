@@ -354,6 +354,15 @@ def test_invariance_subsampling_agrees_with_exact():
         assert abs(exact[name] - sampled[name]) <= 0.02
 
 
+@pytest.mark.parametrize("max_atoms", [0, -5])
+def test_invariance_refuses_a_subsample_below_one_atom(max_atoms):
+    c = cloud([1 + 0j, -1 + 0j])
+    with pytest.raises(ValueError, match="max_atoms"):
+        check_invariance(
+            square_sg(), c, [("re", re_part)], make_rng(4), max_atoms=max_atoms
+        )
+
+
 def test_default_test_functions_are_total():
     # 0, 3+4i, INF (its zs entry is ignored) and 1e200
     zs = np.array([0j, 3 + 4j, 0j, 1e200 + 0j])
@@ -619,6 +628,12 @@ def test_cesaro_average_simple():
     orbit = random_backward_orbit(square_sg(), 1, 50, seed=2)
     avg = cesaro_average(orbit, lambda zs, at_inf: np.abs(zs))
     assert avg == pytest.approx(1.0, abs=1e-9)
+
+
+def test_cesaro_average_refuses_negative_burn_in():
+    orbit = random_backward_orbit(square_sg(), 1, 50, seed=2)
+    with pytest.raises(ValueError, match="burn_in"):
+        cesaro_average(orbit, lambda zs, at_inf: zs.real, burn_in=-3)
 
 
 def test_full_vs_random_agree_on_segment_measure():

@@ -12,11 +12,10 @@ from semijulia.semigroup import (
     build_index_distribution,
     exceptional_candidates,
     make_rng,
-    sample_branch,
     sample_branch_block,
     validate_assumptions,
 )
-from semijulia.sphere import INF
+from semijulia.sphere import INF, chordal_distance
 
 
 def monomial(d):
@@ -134,23 +133,11 @@ def test_distribution_sums_to_one_with_blockwise_equality(degrees, seed):
 def test_sampling_is_deterministic_per_seed():
     sg = Semigroup((monomial(2), monomial(3)), ProbabilityVector([0.5, 0.5]))
     dist = build_index_distribution(sg)
-    a = [sample_branch(dist, make_rng(7)) for _ in range(50)]
-    b = [sample_branch(dist, make_rng(7)) for _ in range(50)]
-    # same seed used fresh each draw: both lists are constant and equal
-    assert a == b
-    rng1, rng2 = make_rng(7), make_rng(7)
-    s1 = [sample_branch(dist, rng1) for _ in range(200)]
-    s2 = [sample_branch(dist, rng2) for _ in range(200)]
-    assert s1 == s2
-
-
-def test_block_sampling_matches_single_draws():
-    sg = Semigroup((monomial(2), monomial(3)), ProbabilityVector([0.5, 0.5]))
-    dist = build_index_distribution(sg)
-    rng1, rng2 = make_rng(99), make_rng(99)
-    block = sample_branch_block(dist, rng1, 500)
-    singles = [sample_branch(dist, rng2) for _ in range(500)]
-    assert block.tolist() == singles
+    rng = make_rng(7)
+    a = sample_branch_block(dist, rng, 200)
+    assert sample_branch_block(dist, make_rng(7), 200).tolist() == a.tolist()
+    # the supplied generator advances: its next block differs
+    assert sample_branch_block(dist, rng, 200).tolist() != a.tolist()
 
 
 def test_empirical_frequencies_match_distribution():
@@ -230,6 +217,33 @@ def test_mobius_generator_breaks_total_ramification():
 def test_inverse_square_exceptional_two_cycle():
     # 1/z^2 swaps 0 and infinity: neither is fixed, both are exceptional
     assert_trapped_on_zero_and_infinity(Semigroup((rational_map([1], [0, 0, 1]),)))
+
+
+@pytest.mark.parametrize(
+    "generators, expected",
+    [
+        # M z^3 M^-1 for M(w) = (w+1)/(w-2): E = M({0, INF}), two finite points
+        ([rational_map([0, 3, 3, 3], [1, 0, 6, 2])], [1, -0.5]),
+        # a critical point of multiplicity 5: the candidate is a root cluster
+        ([monomial(6)], [0, INF]),
+        # the fibre of 0 under z/(z^2+1) splits into {0, INF}
+        ([monomial(2), rational_map([0, 1], [1, 0, 1])], []),
+        # a degree-1 generator
+        ([monomial(2), rational_map([0, 2])], [0, INF]),
+    ],
+    ids=["mobius-conjugate-of-z3", "z6", "split-fibre", "degree-1-generator"],
+)
+def test_exceptional_set_table(generators, expected):
+    sg = Semigroup(tuple(generators))
+    cands = exceptional_candidates(sg)
+    assert len(cands) == len(expected)
+    for e in expected:
+        assert any(chordal_distance(c, e) <= 1e-9 for c in cands)
+        with pytest.raises(ExceptionalStartPoint):
+            validate_assumptions(sg, e)
+    validate_assumptions(sg, 0.3 + 0.7j)
+    if not expected:
+        validate_assumptions(sg, 0)
 
 
 def test_report_text_mentions_unverified_conditions():
