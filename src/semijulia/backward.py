@@ -117,55 +117,64 @@ class BackwardOrbit(_PointArrays):
 
 def _expand_level_fast(sg: Semigroup, zs: np.ndarray) -> np.ndarray:
     """One tree level for polynomial generators of degree <= 2, vectorized
-    in numpy's complex arithmetic (for its speed see ROADMAP.md, open item 3).
+    in numpy's complex arithmetic (for its speed see ROADMAP.md, open item 3),
+    branch-major as in :func:`_expand_level`.
 
-    Column order matches the scalar branch labelling: per generator, roots
+    Row order matches the scalar branch labelling: per generator, roots
     sorted by (real, imag).  The roots are not bitwise those of
     :func:`preimages_batch`: on 100,000 points drawn uniformly in modulus
-    from the annulus 1 <= |z| <= 4 under (z^2, z^2/4), 44,077 rows differ,
-    each root by at most 2.2e-16 relative, in the same column order.
+    from the annulus 1 <= |z| <= 4 under (z^2, z^2/4), 44,077 points differ,
+    each root by at most 2.2e-16 relative, in the same branch order.
     """
-    cols: list[np.ndarray] = []
+    kids = np.empty((sg.total_degree, zs.size), dtype=complex)
+    row = 0
     for g in sg.generators:
         num = g.numerator.coeffs
         c0 = num[0] - zs * g.denominator.coeffs[0]
         c1 = num[1]
         if g.degree == 1:
-            cols.append(-c0 / c1)
+            np.divide(-c0, c1, out=kids[row])
+            row += 1
             continue
         a = num[2]
         b = c1
         disc = b * b - 4.0 * a * c0
         s = np.sqrt(disc)
         flip = (b.real * s.real + b.imag * s.imag) < 0
-        s = np.where(flip, -s, s)
+        np.negative(s, out=s, where=flip)
         q = -0.5 * (b + s)
-        zero_c = c0 == 0
-        safe_q = np.where(zero_c, 1.0, q)
-        r1 = np.where(zero_c, 0.0 + 0.0j, q / a)
-        r2 = np.where(zero_c, -b / a, c0 / safe_q)
+        lo, hi = kids[row], kids[row + 1]
+        r1 = np.divide(q, a, out=lo)  # lo holds r1 until the sort below
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r2 = c0 / q  # 0/0 where b = c0 = 0; the c0 = 0 rule replaces it
+        zero_c = np.flatnonzero(c0 == 0)
+        if zero_c.size:
+            r1[zero_c] = 0.0
+            r2[zero_c] = -b / a
+        # sort each pair by (real, imag) in place
         swap = (r2.real < r1.real) | ((r2.real == r1.real) & (r2.imag < r1.imag))
-        lo = np.where(swap, r2, r1)
-        hi = np.where(swap, r1, r2)
-        cols.append(lo)
-        cols.append(hi)
-    return np.stack(cols, axis=1).reshape(-1)
+        np.copyto(hi, r2)
+        np.copyto(hi, r1, where=swap)
+        np.copyto(lo, r2, where=swap)
+        row += 2
+    return kids
 
 
 def _expand_level(
     sg: Semigroup, zs: np.ndarray, at_inf: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """All d preimages of every point, parent-major: the children of point
-    p are entries p*d .. p*d + d - 1, per generator in branch order.  Finite
-    points under polynomials of degree <= 2 take :func:`_expand_level_fast`."""
+    """All d preimages of every point, branch-major, as ``(kids, kids_inf)``
+    of shape (d, n): row i holds branch i of every point, in point order.
+    Finite points under polynomials of degree <= 2 take
+    :func:`_expand_level_fast`."""
     if not at_inf.any() and all(
         g.denominator.degree == 0 and g.degree <= 2 for g in sg.generators
     ):
         kids = _expand_level_fast(sg, zs)
-        return kids, np.zeros(kids.size, dtype=bool)
+        return kids, np.zeros(kids.shape, dtype=bool)
     fibres = [preimages_batch(g, zs, at_inf) for g in sg.generators]
     roots, inf = (np.hstack(parts) for parts in zip(*fibres))
-    return roots.reshape(-1), inf.reshape(-1)
+    return roots.T, inf.T
 
 
 # A subtree: its root points as ``(zs, at_inf, masses)`` and the number of
@@ -176,10 +185,9 @@ Subtree = tuple[np.ndarray, np.ndarray, np.ndarray, int]
 def _branches(
     kids: np.ndarray, kids_inf: np.ndarray, masses: np.ndarray, pi: np.ndarray, left: int
 ) -> list[Subtree]:
-    """One parent-major level of children split per branch, in branch order:
-    branch i of every parent is the stride-d slice at offset i."""
-    d = pi.size
-    return [(kids[i::d].copy(), kids_inf[i::d].copy(), masses * pi[i], left) for i in range(d)]
+    """One branch-major level of children split per branch, in branch order:
+    subtree i roots at row i (branch i of every parent), with no copy."""
+    return [(kids[i], kids_inf[i], masses * pi[i], left) for i in range(pi.size)]
 
 
 def tree_subtrees(
@@ -200,7 +208,9 @@ def tree_subtrees(
         left -= 1
         if size * d > chunk:
             return _branches(kids, kids_inf, masses, pi, left)
-        zs, at_inf, masses = kids, kids_inf, np.repeat(masses, d) * np.tile(pi, size)
+        # a whole level is parent-major: the children of a point are contiguous
+        zs, at_inf = kids.T.reshape(-1), kids_inf.T.reshape(-1)
+        masses = np.repeat(masses, d) * np.tile(pi, size)
     return [(zs, at_inf, masses, 0)]
 
 
@@ -208,9 +218,11 @@ def subtree_blocks(
     sg: Semigroup, subtree: Subtree
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """The atoms of one subtree of :func:`tree_subtrees` as ``(zs, at_inf,
-    masses)`` blocks as wide as its root level: every level is split per
-    branch and descended depth-first, so live memory stays O(width * d * n)
-    if each block is dropped before the next is asked for."""
+    masses)`` blocks as wide as its root level: every level is expanded
+    branch-major and descended depth-first, one row (branch) at a time, so
+    live memory stays O(width * d * n) if each block is dropped before the
+    next is asked for.  A block lists its atoms in root order, and the blocks
+    come in word order below the root level."""
     pi = np.asarray(build_index_distribution(sg).probabilities)
     stack = [subtree]
     while stack:
@@ -238,9 +250,9 @@ def tree_atoms(
     for level in reversed(range(depth)):
         kids, kids_inf = _expand_level(sg, zs, at_inf)
         prefixes = np.unique(idx // d**level)
-        # child (prefix mod d) of the parent prefix // d, parent-major
-        col = np.searchsorted(words, prefixes // d) * d + prefixes % d
-        zs, at_inf, words = kids[col], kids_inf[col], prefixes
+        # child (prefix mod d) of the parent prefix // d
+        at = prefixes % d, np.searchsorted(words, prefixes // d)
+        zs, at_inf, words = kids[at], kids_inf[at], prefixes
     row = np.searchsorted(words, idx)
     return zs[row], at_inf[row]
 

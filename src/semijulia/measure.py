@@ -142,15 +142,27 @@ def _bin_arrays(
 ) -> tuple[np.ndarray, float]:
     """(cells, overflow mass) of one block of atoms: each atom's mass goes to
     the cell containing its point, summed in atom order; atoms outside the
-    viewport or at infinity feed the overflow."""
-    colf = np.floor((zs.real - vp.x0) / vp.cell_width)
-    rowf = np.floor((vp.y_top - zs.imag) / vp.cell_height)
-    inside = (
-        ~at_inf & (colf >= 0) & (colf < vp.nx) & (rowf >= 0) & (rowf < vp.ny)
-    )
-    flat = rowf[inside].astype(np.int64) * vp.nx + colf[inside].astype(np.int64)
-    cells = np.bincount(flat, weights=masses[inside], minlength=vp.ny * vp.nx)
-    return cells.reshape(vp.ny, vp.nx), float(masses[~inside].sum())
+    viewport or at infinity feed the overflow.
+
+    The flat cell index is built in place over all atoms.  An outside atom
+    gets index 0 and weight 0.0: adding +0.0 to a nonnegative partial sum
+    leaves its bits unchanged, so cell 0 sums as if the atom were dropped.
+    A huge finite point lands at an infinite or NaN coordinate, outside."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        colf = zs.real - vp.x0
+        colf /= vp.cell_width
+        np.floor(colf, out=colf)
+        rowf = vp.y_top - zs.imag
+        rowf /= vp.cell_height
+        np.floor(rowf, out=rowf)
+        outside = at_inf | ~((colf >= 0) & (colf < vp.nx) & (rowf >= 0) & (rowf < vp.ny))
+        flat = rowf
+        flat *= vp.nx
+        flat += colf
+    np.copyto(flat, 0.0, where=outside)
+    weights = np.multiply(masses, ~outside, out=colf)
+    cells = np.bincount(flat.astype(np.int64), weights=weights, minlength=vp.ny * vp.nx)
+    return cells.reshape(vp.ny, vp.nx), float(masses[outside].sum())
 
 
 def bin_cloud(cloud: WeightedPointCloud, vp: Viewport) -> GridMeasure:

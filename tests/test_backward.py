@@ -9,7 +9,9 @@ from semijulia.backward import (
     full_backward_tree,
     random_backward_orbit,
     run_chains,
+    subtree_blocks,
     tree_atoms,
+    tree_subtrees,
 )
 from semijulia.measure import Viewport, bin_cloud, cesaro_average
 from semijulia.ratmap import (
@@ -134,11 +136,11 @@ def test_scalar_and_vectorized_expansion_agree():
     sg = annulus_sg()
     d = sg.total_degree
     pts = [1 + 0j, 0.5 - 0.25j, -2 + 1j, 0.01 + 3j]
-    fast = _expand_level_fast(sg, np.asarray(pts, dtype=complex)).tolist()
+    fast = _expand_level_fast(sg, np.asarray(pts, dtype=complex))  # branch-major
     slow = scalar_level(sg, pts)
-    assert len(fast) == len(slow)
+    assert fast.shape == (d, len(pts))
     for k in range(len(pts)):
-        assert_multisets_close(fast[k * d : (k + 1) * d], slow[k * d : (k + 1) * d])
+        assert_multisets_close(fast[:, k].tolist(), slow[k * d : (k + 1) * d])
 
 
 @pytest.mark.parametrize(
@@ -198,6 +200,31 @@ def test_tree_atoms_pick_the_materialized_atoms(gens, start, depth, some_inf):
     assert zs.tobytes() == tree.zs[idx].tobytes()
     assert at_inf.tobytes() == tree.at_inf[idx].tobytes()
     assert at_inf.any() == some_inf
+
+
+@pytest.mark.parametrize(
+    "gens, b, start, depth, chunk, some_inf",
+    [
+        ([([0, 0, 1],), ([0, 0, 0.25],)], (0.5, 0.5), 1, 8, 64, False),
+        ([([0, 0, 1],), ([1, 0, 1], [2, 0, 1])], (0.3, 0.7), 1, 6, 16, True),
+        ([([0.3, 0, 0, 1],), ([0.5, 0, 1], [0, 1.5])], (0.5, 0.5), 0.5 + 0.2j, 7, 125, False),
+    ],
+    ids=["annulus", "(z^2+1)/(z^2+2), b=(0.3, 0.7), with INF atoms", "cubic+rational"],
+)
+def test_subtree_blocks_walk_the_tree_in_word_order(gens, b, start, depth, chunk, some_inf):
+    # every block of every subtree, in yield order, is the materialized tree
+    # read one root-level node at a time: the same bytes, atoms and masses
+    sg = Semigroup(tuple(rational_map(*g) for g in gens), ProbabilityVector(b))
+    tree = full_backward_tree(sg, start, depth, check_start=False)
+    subtrees = tree_subtrees(sg, start, depth, chunk)
+    assert len(subtrees) == sg.total_degree and subtrees[0][3] >= 2
+    blocks = [block for subtree in subtrees for block in subtree_blocks(sg, subtree)]
+    width = subtrees[0][0].size
+    for k, name in enumerate(("zs", "at_inf", "masses")):
+        walked = np.concatenate([block[k] for block in blocks])
+        expected = getattr(tree, name).reshape(width, -1).T.reshape(-1)
+        assert walked.tobytes() == expected.tobytes(), name
+    assert tree.at_inf.any() == some_inf
 
 
 def test_tree_atoms_edge_cases():

@@ -67,8 +67,12 @@ def test_bin_single_atom_at_center():
     assert g.outside_mass == 0.0
 
 
-def test_bin_atom_at_infinity_goes_outside():
-    g = bin_cloud(cloud([INF], [1.0]), vp44())
+@pytest.mark.parametrize(
+    "point", [INF, 1.7e308, complex(-1.7e308, -1.7e308), 1.7e308j], ids=repr
+)
+def test_bin_atom_at_infinity_goes_outside(point):
+    # a huge finite point overflows to an infinite cell coordinate, silently
+    g = bin_cloud(cloud([point], [1.0]), Viewport(0j, 9.0, 9.0, 512, 512))
     assert g.cells.sum() == 0.0
     assert g.outside_mass == 1.0
 
@@ -93,8 +97,19 @@ def test_bin_conserves_mass():
     rng = np.random.default_rng(5)
     pts = [complex(a, b) for a, b in rng.uniform(-4, 4, (500, 2))]
     masses = rng.uniform(0, 1, 500)
-    g = bin_cloud(cloud(pts, masses), vp44(8))
+    vp = vp44(8)
+    g = bin_cloud(cloud(pts, masses), vp)
     assert abs(g.total_mass - masses.sum()) <= 1e-12
+    # the same bits as dropping the outside atoms before summing in atom order
+    zs = np.array(pts)
+    col = np.floor((zs.real - vp.x0) / vp.cell_width)
+    row = np.floor((vp.y_top - zs.imag) / vp.cell_height)
+    inside = (col >= 0) & (col < vp.nx) & (row >= 0) & (row < vp.ny)
+    assert 0.1 < inside.mean() < 0.9  # about a quarter inside
+    flat = row[inside].astype(np.int64) * vp.nx + col[inside].astype(np.int64)
+    cells = np.bincount(flat, weights=masses[inside], minlength=vp.ny * vp.nx)
+    assert g.cells.tobytes() == cells.reshape(vp.ny, vp.nx).tobytes()
+    assert np.float64(g.outside_mass).tobytes() == masses[~inside].sum().tobytes()
 
 
 def test_grid_validation():
