@@ -117,7 +117,7 @@ class BackwardOrbit(_PointArrays):
 
 def _expand_level_fast(sg: Semigroup, zs: np.ndarray) -> np.ndarray:
     """One tree level for polynomial generators of degree <= 2, vectorized
-    in numpy's complex arithmetic (for its speed see ROADMAP.md, open item 3),
+    in numpy's complex arithmetic (for its speed see ROADMAP.md, open item 6),
     branch-major as in :func:`_expand_level`.
 
     Row order matches the scalar branch labelling: per generator, roots
@@ -125,12 +125,18 @@ def _expand_level_fast(sg: Semigroup, zs: np.ndarray) -> np.ndarray:
     :func:`preimages_batch`: on 100,000 points drawn uniformly in modulus
     from the annulus 1 <= |z| <= 4 under (z^2, z^2/4), 44,077 points differ,
     each root by at most 2.2e-16 relative, in the same branch order.
+
+    The arithmetic runs in place where it can: the closed form's operations
+    in its order, on two complex temporaries per generator where the formula
+    as written makes over a dozen, since every fresh temporary as wide as a
+    level costs page faults.
     """
     kids = np.empty((sg.total_degree, zs.size), dtype=complex)
     row = 0
     for g in sg.generators:
         num = g.numerator.coeffs
-        c0 = num[0] - zs * g.denominator.coeffs[0]
+        c0 = np.multiply(zs, g.denominator.coeffs[0])
+        np.subtract(num[0], c0, out=c0)
         c1 = num[1]
         if g.degree == 1:
             np.divide(-c0, c1, out=kids[row])
@@ -138,19 +144,23 @@ def _expand_level_fast(sg: Semigroup, zs: np.ndarray) -> np.ndarray:
             continue
         a = num[2]
         b = c1
-        disc = b * b - 4.0 * a * c0
-        s = np.sqrt(disc)
-        flip = (b.real * s.real + b.imag * s.imag) < 0
-        np.negative(s, out=s, where=flip)
-        q = -0.5 * (b + s)
+        s = np.multiply(4.0 * a, c0)
+        np.subtract(b * b, s, out=s)
+        np.sqrt(s, out=s)
+        flip = b.real * s.real
+        flip += b.imag * s.imag
+        np.negative(s, out=s, where=flip < 0)
+        q = np.add(b, s, out=s)
+        np.multiply(-0.5, q, out=q)
         lo, hi = kids[row], kids[row + 1]
         r1 = np.divide(q, a, out=lo)  # lo holds r1 until the sort below
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r2 = c0 / q  # 0/0 where b = c0 = 0; the c0 = 0 rule replaces it
-        zero_c = np.flatnonzero(c0 == 0)
-        if zero_c.size:
-            r1[zero_c] = 0.0
-            r2[zero_c] = -b / a
+        # rows with c0 = 0 (where q may be 0 too) skip c0 / q and take the
+        # c0 = 0 rule instead
+        nonzero_c = c0 != 0
+        r2 = np.divide(c0, q, out=q, where=nonzero_c)
+        if not nonzero_c.all():
+            r1[~nonzero_c] = 0.0
+            r2[~nonzero_c] = -b / a
         # sort each pair by (real, imag) in place
         swap = (r2.real < r1.real) | ((r2.real == r1.real) & (r2.imag < r1.imag))
         np.copyto(hi, r2)
