@@ -212,8 +212,9 @@ def test_tree_atoms_pick_the_materialized_atoms(gens, start, depth, some_inf):
     ids=["annulus", "(z^2+1)/(z^2+2), b=(0.3, 0.7), with INF atoms", "cubic+rational"],
 )
 def test_subtree_blocks_walk_the_tree_in_word_order(gens, b, start, depth, chunk, some_inf):
-    # every block of every subtree, in yield order, is the materialized tree
-    # read one root-level node at a time: the same bytes, atoms and masses
+    # the blocks of every subtree, in yield order, are the materialized tree
+    # read word by word below the level above the cut, each word for every
+    # node of that level (W of them): the same bytes, atoms and masses
     sg = Semigroup(tuple(rational_map(*g) for g in gens), ProbabilityVector(b))
     tree = full_backward_tree(sg, start, depth, check_start=False)
     subtrees = tree_subtrees(sg, start, depth, chunk)
