@@ -18,7 +18,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .ratmap import preimages, preimages_batch
+from .ratmap import plain_fibres, preimage_walk, preimages_batch
 from .semigroup import (
     Semigroup,
     build_index_distribution,
@@ -176,10 +176,11 @@ def _expand_level(
     """All d preimages of every point, branch-major, as ``(kids, kids_inf)``
     of shape (d, n): row i holds branch i of every point, in point order.
     Finite points under polynomials of degree <= 2 take
-    :func:`_expand_level_fast`."""
-    if not at_inf.any() and all(
-        g.denominator.degree == 0 and g.degree <= 2 for g in sg.generators
-    ):
+    :func:`_expand_level_fast` where :func:`plain_fibres` proves that no row
+    needs the rescale or degree-drop rule, which that closed form lacks."""
+    gens = sg.generators
+    closed_form_maps = all(g.denominator.degree == 0 and g.degree <= 2 for g in gens)
+    if closed_form_maps and not at_inf.any() and plain_fibres(gens, zs):
         kids = _expand_level_fast(sg, zs)
         return kids, np.zeros(kids.shape, dtype=bool)
     fibres = [preimages_batch(g, zs, at_inf) for g in sg.generators]
@@ -312,15 +313,7 @@ def random_backward_orbit(
         raise ValueError("orbit length must be >= 1")
     dist = build_index_distribution(sg)
     symbols = sample_branch_block(dist, make_rng(seed), n).tolist()
-    decode = dist.decode
-    gens = sg.generators
-    pts: list[SpherePoint] = []
-    append = pts.append
-    z = start
-    for i in symbols:
-        j, r = decode[i]
-        z = preimages(gens[j], z)[r]
-        append(z)
+    pts = preimage_walk(sg.generators, dist.decode, symbols, start)
     return BackwardOrbit(start, symbols, *to_arrays(pts), seed)
 
 

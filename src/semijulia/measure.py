@@ -432,8 +432,18 @@ def check_invariance(
     total = cloud.total_mass
     zs, at_inf = cloud.zs, cloud.at_inf
     if rng is not None and n > max_atoms:
-        p = cloud.masses / total
-        idx = rng.choice(n, size=max_atoms, p=p)
+        # rng.choice(n, max_atoms, p=masses / total)'s indices from the same
+        # draws, searched in sorted order so that the cdf is swept once; the
+        # temporaries go before the blocks below, which reuse their memory
+        cdf = cloud.masses / total
+        np.cumsum(cdf, out=cdf)
+        cdf /= cdf[-1]
+        u = rng.random(max_atoms)
+        order = u.argsort()
+        u.sort()
+        idx = np.empty_like(order)
+        idx[order] = cdf.searchsorted(u, side="right")
+        del cdf, u, order
         zs, at_inf = zs[idx], at_inf[idx]
         weights = np.full(max_atoms, total / max_atoms)
     else:

@@ -513,6 +513,66 @@ def preimages(f: RationalMap, z: SpherePoint) -> list[SpherePoint]:
     return roots
 
 
+def plain_fibres(maps: Sequence[RationalMap], zs: np.ndarray) -> bool:
+    """Whether no fibre of a finite point of ``zs`` under ``maps`` drops degree
+    or needs the rescale or overflow rule, by a bound from m, the largest |part|
+    of zs: |num_k - z den_k| <= 2 (|num_k| + 2 m |den_k|), with |c| at most
+    |c.real| + |c.imag|, and a lead (den_d = 0) of at least its larger part."""
+    parts = np.ascontiguousarray(zs).view(float)
+    m = max(-parts.min(initial=0.0), parts.max(initial=0.0))
+    for f in maps:
+        peak = 2 * max(abs(n.real) + abs(n.imag) + 2 * m * (abs(d.real) + abs(d.imag))
+                       for n, d in f._fibre_pairs)
+        n, d = f._fibre_pairs[-1]
+        lead = max(abs(n.real), abs(n.imag))
+        if not (d == 0 and _RESCALE_BELOW <= lead and peak <= _RESCALE_ABOVE
+                and lead > _LEAD_DROP * peak):
+            return False
+    return True
+
+
+def preimage_walk(
+    maps: Sequence[RationalMap],
+    decode: Sequence[tuple[int, int]],
+    symbols: Sequence[int],
+    start: SpherePoint,
+) -> list[SpherePoint]:
+    """The backward chain from ``start``: point k is ``preimages(maps[j], z)[r]``
+    of the point before it, (j, r) = ``decode[symbols[k]]``, bit for bit.  The
+    common row of a degree-2 map, with c != 0, is stepped inline by a copy of
+    that closed form (``max`` as the builtin compares, the pair's order as plain
+    comparisons), which tests pin to :func:`preimages` by ``repr``; every other
+    step is one :func:`preimages` call."""
+    sqrt, below, above, drop = cmath.sqrt, _RESCALE_BELOW, _RESCALE_ABOVE, _LEAD_DROP
+    # per symbol: the map, its branch and, for degree 2, its fibre pairs
+    table = [(maps[j], r, maps[j]._fibre_pairs if maps[j].degree == 2 else None)
+             for j, r in decode]
+    out: list[SpherePoint] = []
+    append = out.append
+    z = start
+    for f, r, pairs in map(table.__getitem__, symbols):
+        if pairs is not None and z is not INF:
+            (n0, d0), (n1, d1), (n2, d2) = pairs
+            c, b, a = n0 - z * d0, n1 - z * d1, n2 - z * d2
+            try:
+                lead, peak, mb = abs(a), abs(c), abs(b)
+            except OverflowError:
+                lead = peak = mb = math.inf
+            peak = mb if mb > peak else peak
+            peak = lead if lead > peak else peak
+            if below <= peak <= above and lead > drop * peak and c != 0:
+                s = sqrt(b * b - 4 * a * c)
+                q = -0.5 * (b + s) if b.real * s.real + b.imag * s.imag >= 0 else -0.5 * (b - s)
+                w1, w2 = q / a, c / q
+                swap = w2.real < w1.real or (w2.real == w1.real and w2.imag < w1.imag)
+                z = w2 if swap != r else w1
+                append(z)
+                continue
+        z = preimages(f, z)[r]
+        append(z)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # row-vectorized preimages
 #

@@ -9,6 +9,9 @@ settings.register_profile(
     derandomize=True,
     suppress_health_check=[HealthCheck.too_slow],
 )
+# the same with 2,000 examples, for one property at a time: CI runs the chain
+# walker's property under it (pytest --hypothesis-profile thorough ...)
+settings.register_profile("thorough", settings.get_profile("semijulia"), max_examples=2000)
 settings.load_profile("semijulia")
 
 

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -159,6 +161,33 @@ def test_tree_equals_scalar_level_oracle(den):
         level = scalar_level(sg, level)
     tree = full_backward_tree(sg, 1, 5, check_start=False)
     assert repr(tree.points) == repr(level)
+
+
+def test_tree_of_a_map_that_needs_the_rescale_is_the_batch_tree():
+    # 1e-200 z^2 over 1e-200: unscaled, the closed form of _expand_level_fast
+    # gives -inf+nanj and 0 with a RuntimeWarning (an error in this suite),
+    # where preimages rescales the fibre and gives -1 and 1; the next level
+    # meets degree drops
+    sg = Semigroup((rational_map([0, 0, 1e-200]),))
+    level = [1e-200 + 0j]
+    for depth in range(1, 4):
+        level = scalar_level(sg, level)
+        tree = full_backward_tree(sg, 1e-200, depth, check_start=False)
+        assert repr(tree.points) == repr(level)
+    assert level[0] is INF
+
+
+def test_annulus_levels_take_the_closed_form(monkeypatch):
+    # the bound that routes a level to the batch path lets every annulus
+    # level through, so annulus trees keep their bytes
+    import semijulia.backward as backward
+
+    sizes, real = [], backward._expand_level_fast
+    monkeypatch.setattr(
+        backward, "_expand_level_fast", lambda sg, zs: sizes.append(zs.size) or real(sg, zs)
+    )
+    full_backward_tree(annulus_sg(), 1, 6)
+    assert sizes == [4**k for k in range(6)]
 
 
 def test_scalar_path_used_for_rational_generators():
@@ -352,6 +381,36 @@ def test_cubic_rational_chain_steps_are_batch_preimages():
 def test_annulus_chain_steps_are_batch_preimages():
     # the straight-line degree-2 path of scalar preimages, step by step
     assert_chain_steps_are_batch_preimages(annulus_sg(), 1.5 + 0.5j, 5000, 7)
+
+
+def test_annulus_chain_never_calls_scalar_preimages(monkeypatch):
+    # every step of an annulus chain from 1.5+0.5i is a common row, which
+    # the chain walker steps inline
+    import semijulia.ratmap as ratmap
+
+    calls = []
+    monkeypatch.setattr(ratmap, "preimages", lambda f, z: calls.append(z))
+    orbit = random_backward_orbit(annulus_sg(), 1.5 + 0.5j, 5000, seed=7, check_start=False)
+    assert len(orbit) == 5000 and calls == []
+
+
+def test_chain_bits_are_pinned():
+    # sha1 of the run_chains zs and at_inf bytes, 2 chains x 10,000 steps per
+    # pair.  The digests were recorded before preimage_walk existed, when each
+    # chain step was one scalar preimages call; they pin every chain point
+    # bit for bit.
+    cubic_rational = Semigroup(
+        (rational_map([0.3, 0, 0, 1]), rational_map([0.5, 0, 1], [0, 1.5])),
+        ProbabilityVector([0.5, 0.5]),
+    )
+    for sg, start, seeds, digest in (
+        (annulus_sg(), 1.0, [21, 22], "f367c01d91b38d53d676a733d98eeb1a278ff506"),
+        (cubic_rational, 0.3 + 0.2j, [5, 6], "c30189d3330f6b65c3aeca6e48d67d1ffdd2fa07"),
+    ):
+        cloud = run_chains(sg, start, 10_000, 2, burn_in=0, seeds=seeds)
+        h = hashlib.sha1(cloud.zs.tobytes())
+        h.update(cloud.at_inf.tobytes())
+        assert h.hexdigest() == digest
 
 
 def test_orbit_requires_positive_length():

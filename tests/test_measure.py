@@ -369,6 +369,41 @@ def test_invariance_subsampling_agrees_with_exact():
         assert abs(exact[name] - sampled[name]) <= 0.02
 
 
+def subsample_masses(kind, n):
+    rng = np.random.default_rng(n)
+    if kind == "uniform":
+        return np.full(n, 1.0 / n)
+    masses = rng.random(n) ** 3
+    if kind == "some zero":
+        masses[rng.random(n) < 0.3] = 0.0
+        masses[0] = masses[-1] = 0.0  # none at either end of the cdf
+        masses[n // 2] = 0.5
+    return masses
+
+
+@pytest.mark.parametrize("kind", ["uniform", "non-uniform", "some zero"])
+@pytest.mark.parametrize("n, size", [(5, 4), (1000, 77), (1000, 999), (60_000, 20_000)])
+@pytest.mark.parametrize("seed", [0, 4, 2**40 + 1])
+def test_invariance_subsample_draws_the_atoms_rng_choice_draws(monkeypatch, kind, n, size, seed):
+    # the subsample is rng.choice(n, size, p=masses / total), same indices in
+    # the same order, drawn from the same stream: a numpy whose choice draws
+    # differently fails here
+    import semijulia.measure as measure
+
+    masses = subsample_masses(kind, n)
+    c = WeightedPointCloud(np.arange(n, dtype=complex), np.zeros(n, dtype=bool), masses)
+    seen, real = [], measure._transfer
+    monkeypatch.setattr(
+        measure, "_transfer", lambda sg, fns, z, inf: seen.append(z.real.copy()) or real(sg, fns, z, inf)
+    )
+    rng = make_rng(seed)
+    check_invariance(square_sg(), c, [("re", re_part)], rng, max_atoms=size)
+    want_rng = make_rng(seed)
+    want = want_rng.choice(n, size=size, p=masses / c.total_mass)
+    assert np.array_equal(np.concatenate(seen), want)
+    assert rng.random() == want_rng.random()
+
+
 @pytest.mark.parametrize("max_atoms", [0, -5])
 def test_invariance_refuses_a_subsample_below_one_atom(max_atoms):
     c = cloud([1 + 0j, -1 + 0j])

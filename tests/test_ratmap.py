@@ -13,6 +13,7 @@ from semijulia.ratmap import (
     evaluate,
     fibre_polynomial,
     polynomial_roots,
+    preimage_walk,
     preimages,
     preimages_batch,
     rational_map,
@@ -668,41 +669,44 @@ _EDGE = 2.0**500
 _PAST = 1 + 2.0**-52
 
 
-@pytest.mark.parametrize(
-    "num, den, z",
-    [
-        # c = 0: a zero constant, so a zero root
-        ([0, 0, 1], [1], 0j),
-        ([0, 1, 1], [1], 0j),
-        ([0.5, 0, 1], [0, 1.5], 0.5 - 0j),  # c = 0.5 - 0.5 = 0
-        # the lead a = 1 - z just at the degree-drop cut and just above it
-        ([1, 1, 1], [2, 0, 1], complex(_PAST)),
-        ([1, 1, 1], [2, 0, 1], 1 + 2.0**-44 + 0j),
-        ([1, 0, 1], [2, 0, 1], 1 + 0j),  # every coefficient but c vanishes
-        # the peak |c| = |z| just inside and just outside 2^500
-        ([0, 0, 1], [1], complex(_EDGE)),
-        ([0, 0, 1], [1], complex(_EDGE * _PAST)),
-        ([0, 0, 1], [1], -1j * _EDGE),
-        # the peak |a| = 2^-500 just inside, and just below it
-        ([0, 0, 1 / _EDGE], [1], complex(0.5 / _EDGE)),
-        ([0, 0, (1 - 2.0**-53) / _EDGE], [1], complex(0.5 / _EDGE)),
-        # far outside: unscaled, b*b - 4ac would underflow or overflow
-        ([0, 0, 1e-200], [1], 1e-200 + 0j),
-        ([1, 0, 1], [2, 0, 1], 1e200 + 0j),
-        # |z| overflows a double though both parts are finite
-        ([0, 0, 1], [1], 1.5e308 + 1.5e308j),
-        ([1, 0, 1], [2, 0, 1], 1.2e308 + 1.2e308j),
-        # z * (2+2j) has the real part inf - inf = nan
-        ([0, 0, 1], [2 + 2j], 1e308 + 1e308j),
-        # signed zeros in the point and in the coefficients
-        ([0, 0, 1], [1], complex(-0.0, 0.0)),
-        ([0, 0, 1], [1], complex(-0.0, -0.0)),
-        ([0, 0, 1], [1], complex(4, -0.0)),
-        ([0, 0, 1], [1], complex(-4, -0.0)),
-        ([complex(-0.0, 0.5), -0.0, complex(1, -0.0)], [1], complex(-0.0, 0.5)),
-        ([complex(0.5, -0.0), complex(-0.0, -0.0), 1], [complex(-0.0, 1.5)], -2 + 0j),
-    ],
-)
+# fibres at and just past every rule of the degree-2 path
+QUADRATIC_EDGE_ROWS = [
+    # c = 0: a zero constant, so a zero root
+    ([0, 0, 1], [1], 0j),
+    ([0, 1, 1], [1], 0j),
+    ([0.5, 0, 1], [0, 1.5], 0.5 - 0j),  # c = 0.5 - 0.5 = 0
+    # the lead a = 1 - z just at the degree-drop cut and just above it
+    ([1, 1, 1], [2, 0, 1], complex(_PAST)),
+    ([1, 1, 1], [2, 0, 1], 1 + 2.0**-44 + 0j),
+    ([1, 0, 1], [2, 0, 1], 1 + 0j),  # every coefficient but c vanishes
+    # the peak |c| = |z| just inside and just outside 2^500
+    ([0, 0, 1], [1], complex(_EDGE)),
+    ([0, 0, 1], [1], complex(_EDGE * _PAST)),
+    ([0, 0, 1], [1], -1j * _EDGE),
+    # the peak |a| = 2^-500 just inside, and just below it
+    ([0, 0, 1 / _EDGE], [1], complex(0.5 / _EDGE)),
+    ([0, 0, (1 - 2.0**-53) / _EDGE], [1], complex(0.5 / _EDGE)),
+    # far outside: unscaled, b*b - 4ac would underflow or overflow
+    ([0, 0, 1e-200], [1], 1e-200 + 0j),
+    ([1, 0, 1], [2, 0, 1], 1e200 + 0j),
+    # |z| overflows a double though both parts are finite
+    ([0, 0, 1], [1], 1.5e308 + 1.5e308j),
+    ([1, 0, 1], [2, 0, 1], 1.2e308 + 1.2e308j),
+    # z * (2+2j) has the real part inf - inf = nan
+    ([0, 0, 1], [2 + 2j], 1e308 + 1e308j),
+    # signed zeros in the point and in the coefficients
+    ([0, 0, 1], [1], complex(-0.0, 0.0)),
+    ([0, 0, 1], [1], complex(-0.0, -0.0)),
+    ([0, 0, 1], [1], complex(4, -0.0)),
+    ([0, 0, 1], [1], complex(-4, -0.0)),
+    ([complex(-0.0, 0.5), -0.0, complex(1, -0.0)], [1], complex(-0.0, 0.5)),
+    ([complex(0.5, -0.0), complex(-0.0, -0.0), 1], [complex(-0.0, 1.5)], -2 + 0j),
+    # roots -2i and 2i: equal real parts, so the imaginary ones swap the pair
+    ([0, 0, -1], [1], 4 + 0j),
+]
+
+
+@pytest.mark.parametrize("num, den, z", QUADRATIC_EDGE_ROWS)
 def test_quadratic_edge_rows_match_the_general_path(num, den, z):
     f = rational_map(num, den)
     assert f.degree == 2
@@ -711,3 +715,114 @@ def test_quadratic_edge_rows_match_the_general_path(num, den, z):
     assert repr(batch_rows(f, [z])) == repr([got])
     for w in got:
         assert chordal_distance(evaluate(f, w), z) <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the chain walker, step by step against preimages
+
+
+def walk_and_steps(monkeypatch, maps, start, symbols):
+    """preimage_walk over ``symbols`` (all branches of all maps, in order),
+    the same steps as one preimages call each, and the points at which the
+    walker itself called preimages."""
+    import semijulia.ratmap as ratmap
+
+    decode = [(j, r) for j, f in enumerate(maps) for r in range(f.degree)]
+    calls = []
+
+    def spy(f, z):
+        calls.append(z)
+        return preimages(f, z)
+
+    monkeypatch.setattr(ratmap, "preimages", spy)
+    walk = preimage_walk(maps, decode, symbols, start)
+    monkeypatch.undo()
+    z, steps = start, []
+    for s in symbols:
+        j, r = decode[s]
+        z = preimages(maps[j], z)[r]
+        steps.append(z)
+    return walk, steps, calls
+
+
+def random_symbols(maps, n, seed):
+    return np.random.default_rng(seed).integers(sum(f.degree for f in maps), size=n).tolist()
+
+
+@pytest.mark.parametrize(
+    "maps, start, reaches",
+    [
+        # INF (under the lead 1 - z) and the degree drops around it
+        ([square(), rational_map([1, 0, 1], [2, 0, 1])], 1 + 0j, lambda steps, calls: INF in steps),
+        # c = 0 on every step: 0 is a fixed point of both maps
+        ([square(), rational_map([0, 0, 0.25])], 0j, lambda steps, calls: len(calls) == len(steps)),
+        # |z| overflows a double, then the peak lies past 2^500 for a step
+        (
+            [square(), rational_map([0, 0, 0.25])],
+            1.7e308 + 1.7e308j,
+            lambda steps, calls: calls[:2] == [1.7e308 + 1.7e308j, steps[0]],
+        ),
+        # every fibre of the first map peaks near 1e-200: the rescale
+        (
+            [rational_map([0, 0, 1e-200], [1e-200]), rational_map([0, 0, 0.25])],
+            1 + 1j,
+            lambda steps, calls: 0 < len(calls) < len(steps),
+        ),
+        # a cubic and a rational quadratic
+        (
+            [rational_map([0.3, 0, 0, 1]), rational_map([0.5, 0, 1], [0, 1.5])],
+            0.3 + 0.2j,
+            lambda steps, calls: 0 < len(calls) < len(steps),
+        ),
+        # a degree-1 map
+        ([square(), rational_map([0, 2])], 1 + 1j, lambda steps, calls: 0 < len(calls) < len(steps)),
+    ],
+    ids=["INF and degree drops", "c = 0", "near 1.7e308", "1e-200 coefficients", "cubic", "degree 1"],
+)
+def test_walk_steps_are_preimages(monkeypatch, maps, start, reaches):
+    symbols = random_symbols(maps, 2000, 5)
+    walk, steps, calls = walk_and_steps(monkeypatch, maps, start, symbols)
+    assert_same_reprs(walk, steps)
+    assert reaches(steps, calls)
+
+
+@pytest.mark.parametrize("num, den, z", QUADRATIC_EDGE_ROWS)
+def test_walk_steps_from_the_quadratic_edge_rows(monkeypatch, num, den, z):
+    f = rational_map(num, den)
+    for r in range(2):
+        walk, steps, _ = walk_and_steps(monkeypatch, [f], z, [r])
+        assert repr(walk) == repr(steps) == repr([preimages(f, z)[r]])
+
+
+@st.composite
+def quadratic_maps(draw):
+    # degree 2 in the numerator, the denominator or both, at a scale that
+    # may need the rescale
+    dn, dd = draw(st.sampled_from([(2, 0), (2, 1), (2, 2), (1, 2), (0, 2)]))
+    scale = draw(st.sampled_from([1.0, 2.0**-520, 2.0**520, 1e-200]))
+    num = draw(st.lists(coeff, min_size=dn + 1, max_size=dn + 1))
+    den = draw(st.lists(coeff, min_size=dd + 1, max_size=dd + 1))
+    assume(num[-1] != 0 and den[-1] != 0)
+    try:
+        f = rational_map([scale * c for c in num], den)
+    except ValueError:
+        assume(False)
+    assume(f.degree == 2)
+    return f
+
+
+# 100 examples in the suite; CI runs 2,000 under --hypothesis-profile thorough
+@given(
+    st.lists(quadratic_maps(), min_size=1, max_size=2),
+    st.one_of(points, st.just(0j), coeff.map(lambda z: z * 1e200)),
+    st.lists(st.integers(0, 3), min_size=1, max_size=30),
+)
+def test_walk_matches_preimages_on_random_quadratics(maps, start, picks):
+    symbols = [p % (2 * len(maps)) for p in picks]
+    decode = [(j, r) for j in range(len(maps)) for r in range(2)]
+    z, steps = start, []
+    for s in symbols:
+        j, r = decode[s]
+        z = preimages(maps[j], z)[r]
+        steps.append(z)
+    assert_same_reprs(preimage_walk(maps, decode, symbols, start), steps)
