@@ -177,12 +177,19 @@ def _expand_level(
     of shape (d, n): row i holds branch i of every point, in point order.
     Finite points under polynomials of degree <= 2 take
     :func:`_expand_level_fast` where :func:`plain_fibres` proves that no row
-    needs the rescale or degree-drop rule, which that closed form lacks."""
+    needs the rescale or degree-drop rule, which that closed form lacks, and
+    where it divides by no zero q (an underflowed b*b - 4ac, which
+    :func:`preimages_batch` rescales)."""
     gens = sg.generators
     closed_form_maps = all(g.denominator.degree == 0 and g.degree <= 2 for g in gens)
     if closed_form_maps and not at_inf.any() and plain_fibres(gens, zs):
-        kids = _expand_level_fast(sg, zs)
-        return kids, np.zeros(kids.shape, dtype=bool)
+        try:
+            with np.errstate(divide="raise"):
+                kids = _expand_level_fast(sg, zs)
+        except FloatingPointError:  # c0 / q with q = 0: b*b - 4ac underflowed
+            pass
+        else:
+            return kids, np.zeros(kids.shape, dtype=bool)
     fibres = [preimages_batch(g, zs, at_inf) for g in sg.generators]
     roots, inf = (np.hstack(parts) for parts in zip(*fibres))
     return roots.T, inf.T

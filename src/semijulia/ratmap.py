@@ -114,8 +114,15 @@ def _quadratic_roots(a: complex, b: complex, c: complex) -> list[complex]:
         q = -0.5 * (b + s)
     else:
         q = -0.5 * (b - s)
-    # q == 0 would force c == 0, handled above
-    return [q / a, c / q]
+    try:
+        return [q / a, c / q]
+    except ZeroDivisionError:
+        # q = 0 with c != 0: b*b - 4ac underflowed, so solve again on the
+        # coefficients scaled by the power of two that takes the largest
+        # modulus to just below 2**_RESCALE_EXP
+        k = _RESCALE_EXP - math.frexp(max(abs(a), abs(b), abs(c)))[1]
+        a, b, c = (complex(math.ldexp(x.real, k), math.ldexp(x.imag, k)) for x in (a, b, c))
+        return _quadratic_roots(a, b, c)
 
 
 def _aberth_roots(coeffs: Sequence[complex]) -> list[complex]:
@@ -410,17 +417,12 @@ def _branch_key(w: complex) -> tuple[float, float]:
     return w.real, w.imag
 
 
-def _sorted_with_padding(finite: list[complex], degree: int) -> list[SpherePoint]:
+def _sorted_with_padding(finite: list[SpherePoint], degree: int) -> list[SpherePoint]:
+    """``finite`` itself, sorted in branch order and padded with INF to
+    ``degree`` entries."""
     finite.sort(key=_branch_key)
-    out: list[SpherePoint] = list(finite)
-    out.extend([INF] * (degree - len(finite)))
-    return out
-
-
-def _ordered_pair(a: complex, b: complex) -> list[complex]:
-    """Two finite roots in the order of the keyed sort, in one (re, im)
-    compare."""
-    return [b, a] if (b.real, b.imag) < (a.real, a.imag) else [a, b]
+    finite.extend([INF] * (degree - len(finite)))
+    return finite
 
 
 def fibre_polynomial(f: RationalMap, w: SpherePoint) -> list[complex]:
@@ -461,29 +463,15 @@ def preimages(f: RationalMap, z: SpherePoint) -> list[SpherePoint]:
 
     The fibre coefficients come from the map's (num_k, den_k) pairs, stored
     at construction, and each |coefficient| is taken once, for both the
-    largest modulus and the degree-drop cut.  A quadratic whose fibre keeps
-    its degree and needs no normalization is solved straight-line by the
-    closed form; a cubic goes through the unrolled sweep
-    :func:`_aberth_cubic`.  Coefficients that overflow or
+    largest modulus and the degree-drop cut.  Coefficients that overflow or
     need the power-of-two normalization are formed again by
-    :func:`_fibre` and :func:`_normalized`.
+    :func:`_fibre` and :func:`_normalized`.  Every degree takes this one
+    path to :func:`_roots`; the chain's common degree-2 step is stepped
+    inline by :func:`preimage_walk`.
     """
     d = f.degree
     if z is INF:
         return _sorted_with_padding(polynomial_roots(f.denominator.coeffs), d)
-    if d == 2:
-        # the common row of a quadratic, straight-line: the fibre, its peak
-        # (max over |c|, |b|, |a| as below) and the closed form; every other
-        # row falls through to the general code
-        (n0, d0), (n1, d1), (n2, d2) = f._fibre_pairs
-        c, b, a = n0 - z * d0, n1 - z * d1, n2 - z * d2
-        try:
-            lead = abs(a)
-            peak = max(abs(c), abs(b), lead)
-        except OverflowError:
-            peak = math.inf
-        if _RESCALE_BELOW <= peak <= _RESCALE_ABOVE and lead > _LEAD_DROP * peak:
-            return _ordered_pair(*_quadratic_roots(a, b, c))
     coeffs = [n - z * c for n, c in f._fibre_pairs]
     try:
         mags = [abs(c) for c in coeffs]
@@ -492,25 +480,12 @@ def preimages(f: RationalMap, z: SpherePoint) -> list[SpherePoint]:
         peak = math.inf
     if not _RESCALE_BELOW <= peak <= _RESCALE_ABOVE:
         coeffs, peak = _normalized(*_fibre(f, z))
-        if peak == 0.0:
-            # cannot happen for a genuine degree >= 1 map; guard for totality
-            return [INF] * d
         mags = [abs(c) for c in coeffs]
     cut = _LEAD_DROP * peak
     top = d
     while top > 0 and mags[top] <= cut:
         top -= 1
-    if top == 0:
-        return [INF] * d
-    if top == 2:
-        roots = _ordered_pair(*_quadratic_roots(coeffs[2], coeffs[1], coeffs[0]))
-    else:
-        roots = _roots(coeffs if top == d else coeffs[: top + 1])
-        if top > 2:
-            roots.sort(key=_branch_key)
-    if top < d:
-        roots.extend([INF] * (d - top))
-    return roots
+    return _sorted_with_padding(_roots(coeffs if top == d else coeffs[: top + 1]) if top else [], d)
 
 
 def plain_fibres(maps: Sequence[RationalMap], zs: np.ndarray) -> bool:
@@ -542,7 +517,7 @@ def preimage_walk(
     common row of a degree-2 map, with c != 0, is stepped inline by a copy of
     that closed form (``max`` as the builtin compares, the pair's order as plain
     comparisons), which tests pin to :func:`preimages` by ``repr``; every other
-    step is one :func:`preimages` call."""
+    step, and one whose b*b - 4ac underflows, is one :func:`preimages` call."""
     sqrt, below, above, drop = cmath.sqrt, _RESCALE_BELOW, _RESCALE_ABOVE, _LEAD_DROP
     # per symbol: the map, its branch and, for degree 2, its fibre pairs
     table = [(maps[j], r, maps[j]._fibre_pairs if maps[j].degree == 2 else None)
@@ -563,11 +538,15 @@ def preimage_walk(
             if below <= peak <= above and lead > drop * peak and c != 0:
                 s = sqrt(b * b - 4 * a * c)
                 q = -0.5 * (b + s) if b.real * s.real + b.imag * s.imag >= 0 else -0.5 * (b - s)
-                w1, w2 = q / a, c / q
-                swap = w2.real < w1.real or (w2.real == w1.real and w2.imag < w1.imag)
-                z = w2 if swap != r else w1
-                append(z)
-                continue
+                try:
+                    w1, w2 = q / a, c / q
+                except ZeroDivisionError:  # b*b - 4ac underflowed: preimages rescales
+                    pass
+                else:
+                    swap = w2.real < w1.real or (w2.real == w1.real and w2.imag < w1.imag)
+                    z = w2 if swap != r else w1
+                    append(z)
+                    continue
         z = preimages(f, z)[r]
         append(z)
     return out
@@ -762,8 +741,9 @@ def preimages_batch(
     constant.  Its roots come from the same closed forms (degree <= 2) or
     Ehrlich-Aberth iteration (above) as the scalar path, with the same
     floating-point operations, on all such rows together; any row that does
-    not converge raises :class:`SolverDivergence`.  Every other finite row is
-    one :func:`preimages` call, and the rows at infinity share one.  Rows go
+    not converge raises :class:`SolverDivergence`.  Every other finite row,
+    and a degree <= 2 row whose roots come out non-finite, is one
+    :func:`preimages` call, and the rows at infinity share one.  Rows go
     through in blocks of ``_BATCH_ROWS``.
     """
     zs = np.asarray(zs, dtype=complex).reshape(-1)
@@ -804,4 +784,7 @@ def preimages_batch(
         order = np.lexsort((im, re), axis=1)
         parts[rows, :, 0] = np.take_along_axis(re, order, axis=1)
         parts[rows, :, 1] = np.take_along_axis(im, order, axis=1)
+        if d <= 2:  # a non-finite root: b*b - 4ac underflowed, which preimages rescales
+            for r in rows[~(np.isfinite(re) & np.isfinite(im)).all(axis=1)].tolist():
+                roots[r], inf[r] = to_arrays(preimages(f, complex(zs[r])))
     return roots, inf

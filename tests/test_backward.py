@@ -6,6 +6,7 @@ import pytest
 from semijulia.backward import (
     EmptyTail,
     WeightedPointCloud,
+    _expand_level,
     _expand_level_fast,
     empirical_measure,
     full_backward_tree,
@@ -175,6 +176,24 @@ def test_tree_of_a_map_that_needs_the_rescale_is_the_batch_tree():
         tree = full_backward_tree(sg, 1e-200, depth, check_start=False)
         assert repr(tree.points) == repr(level)
     assert level[0] is INF
+
+
+def test_level_whose_closed_form_meets_a_zero_q_is_the_batch_level(monkeypatch):
+    # 2^-500 z^2 at 1e-200: the fibre passes plain_fibres, but b = 0 and 4ac
+    # underflows, so the closed form meets q = 0 and hands the level to
+    # preimages_batch, which rescales; unmended, c / q divides by zero
+    import semijulia.backward as backward
+
+    f = rational_map([0, 0, 2.0**-500])
+    tried, real = [], backward._expand_level_fast
+    monkeypatch.setattr(backward, "_expand_level_fast", lambda sg, zs: tried.append(1) or real(sg, zs))
+    zs, at_inf = np.array([1e-200 + 0j]), np.zeros(1, dtype=bool)
+    kids, kids_inf = _expand_level(Semigroup((f,)), zs, at_inf)
+    roots, inf = preimages_batch(f, zs, at_inf)
+    assert tried == [1]
+    assert repr(kids.T.tolist()) == repr(roots.tolist())
+    assert (kids_inf.T == inf).all()
+    assert repr(roots.tolist()) == "[[(-1.8092513943330656e-25+0j), (1.8092513943330656e-25-0j)]]"
 
 
 def test_annulus_levels_take_the_closed_form(monkeypatch):
@@ -379,7 +398,7 @@ def test_cubic_rational_chain_steps_are_batch_preimages():
 
 
 def test_annulus_chain_steps_are_batch_preimages():
-    # the straight-line degree-2 path of scalar preimages, step by step
+    # the chain walker's inline degree-2 step, step by step
     assert_chain_steps_are_batch_preimages(annulus_sg(), 1.5 + 0.5j, 5000, 7)
 
 

@@ -390,6 +390,17 @@ def test_main_verify_unknown_name(capsys):
     assert "no criteria match" in capsys.readouterr().out
 
 
+def test_verify_config_route(capsys):
+    # the "method": "verify" config runs the selected criteria and writes
+    # nothing; a selection that matches no criterion fails
+    result = execute_run(parse_config({"method": "verify", "only": ["circle-decay"]}))
+    assert (result.exit_code, result.artifacts) == (0, {})
+    assert "PASS circle-decay" in capsys.readouterr().out
+    result = execute_run(parse_config({"method": "verify", "only": ["zzz"]}))
+    assert (result.exit_code, result.artifacts) == (1, {})
+    assert "no criteria match" in capsys.readouterr().out
+
+
 def test_python_dash_m_runs_without_runpy_warning():
     # ``python -m semijulia.cli`` warns that semijulia.cli was imported
     # before it ran; the package's __main__ must not

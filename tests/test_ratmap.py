@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import math
 
 import numpy as np
@@ -592,8 +593,8 @@ def test_nan_residual_never_passes_the_stop_test():
 
 
 # ---------------------------------------------------------------------------
-# the straight-line degree-2 path of scalar preimages, against the batch
-# rows (an independent, vectorized kernel) and against the general path
+# scalar preimages of degree-2 maps, against the batch rows (an independent,
+# vectorized kernel) and against the general path built from public pieces
 
 
 def quadratics():
@@ -669,6 +670,11 @@ _EDGE = 2.0**500
 _PAST = 1 + 2.0**-52
 
 
+# b = 0 and 4ac underflows to 0 although the peak |a| = 2^-500 needs no
+# rescale: the closed form meets q = 0 and solves again on scaled
+# coefficients, giving +-1.8092513943330656e-25
+UNDERFLOW_ROW = ([0, 0, 2.0**-500], [1], 1e-200 + 0j)
+
 # fibres at and just past every rule of the degree-2 path
 QUADRATIC_EDGE_ROWS = [
     # c = 0: a zero constant, so a zero root
@@ -703,6 +709,7 @@ QUADRATIC_EDGE_ROWS = [
     ([complex(0.5, -0.0), complex(-0.0, -0.0), 1], [complex(-0.0, 1.5)], -2 + 0j),
     # roots -2i and 2i: equal real parts, so the imaginary ones swap the pair
     ([0, 0, -1], [1], 4 + 0j),
+    UNDERFLOW_ROW,
 ]
 
 
@@ -715,6 +722,47 @@ def test_quadratic_edge_rows_match_the_general_path(num, den, z):
     assert repr(batch_rows(f, [z])) == repr([got])
     for w in got:
         assert chordal_distance(evaluate(f, w), z) <= 1e-9
+
+
+def test_underflow_row_roots():
+    num, den, z = UNDERFLOW_ROW
+    f = rational_map(num, den)
+    want = "[(-1.8092513943330656e-25+0j), (1.8092513943330656e-25-0j)]"
+    assert repr(preimages(f, z)) == want
+    assert repr(polynomial_roots(fibre_polynomial(f, z))) == want
+
+
+def golden_cases():
+    """A polynomial and two rational maps of each degree 1-6, with seeded
+    coefficients, at 0, INF, 1e-200, 1.5e308+1.5e308j and three seeded
+    points; then the quadratic edge rows."""
+    rng = np.random.default_rng(31)
+    maps = []
+    for d in range(1, 7):
+        for dn, dd in ((d, 0), (d, d), (d - 1, d)):
+            while True:
+                num, den = (rng.normal(size=(k + 1, 2)) @ [1, 1j] for k in (dn, dd))
+                try:
+                    maps.append(rational_map(num, den))
+                    break
+                except ValueError:  # a shared root, refused
+                    continue
+    pts = [0j, INF, 1e-200 + 0j, 1.5e308 + 1.5e308j, *(3 * rng.normal(size=(3, 2)) @ [1, 1j])]
+    cases = [(f, z) for f in maps for z in pts]
+    # the underflow row raised ZeroDivisionError when the digest was recorded;
+    # test_underflow_row_roots pins its roots
+    edge = [row for row in QUADRATIC_EDGE_ROWS if row is not UNDERFLOW_ROW]
+    return cases + [(rational_map(num, den), z) for num, den, z in edge]
+
+
+def test_preimages_bits_are_pinned():
+    # sha1 of repr of every preimages list over golden_cases(), 149 calls,
+    # recorded at the commit before scalar preimages lost its separate
+    # degree-2 branch; it pins every root's bits and the branch order
+    cases = golden_cases()
+    got = repr([preimages(f, z) for f, z in cases])
+    assert len(cases) == 149
+    assert hashlib.sha1(got.encode()).hexdigest() == "69cfceafa3be89ea24f73d4818174413fb2af0bf"
 
 
 # ---------------------------------------------------------------------------
