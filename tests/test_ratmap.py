@@ -746,7 +746,7 @@ def golden_cases():
                     maps.append(rational_map(num, den))
                     break
                 except ValueError:  # a shared root, refused
-                    continue
+                    pass
     pts = [0j, INF, 1e-200 + 0j, 1.5e308 + 1.5e308j, *(3 * rng.normal(size=(3, 2)) @ [1, 1j])]
     cases = [(f, z) for f in maps for z in pts]
     # the underflow row raised ZeroDivisionError when the digest was recorded;
