@@ -125,22 +125,72 @@ def _quadratic_roots(a: complex, b: complex, c: complex) -> list[complex]:
         return _quadratic_roots(a, b, c)
 
 
+# the primitive cube root of unity exp(2 pi i / 3) and its conjugate
+_OMEGA = complex(-0.5, 0.8660254037844386)
+_OMEGA_BAR = complex(-0.5, -0.8660254037844386)
+
+
+def _cubic_start(m0: complex, m1: complex, m2: complex) -> tuple[complex, complex, complex] | None:
+    """Cardano's three roots of the monic cubic x^3 + m2 x^2 + m1 x + m0, the
+    start of its Ehrlich-Aberth iteration, or None where the circle start is
+    taken instead: A = 0 (a triple root), or a start that is non-finite or has
+    two equal points.
+
+    On x = t - s, s = m2/3, the cubic is t^3 + p t + q; with h = -q/2 and
+    A = h + sqrt(h^2 + (p/3)^3), the sign picked as in
+    :func:`_quadratic_roots`, u = A^(1/3) and v = -(p/3)/u the roots are
+    t = u + v, w u + w' v and w' u + w v, w = exp(2 pi i / 3).  The cube root
+    is taken of B = A 2^(-3k), whose larger part lies in [1/2, 4), from
+    sqrt(sqrt(B)) by a fixed five Newton steps in + - * /, so that
+    :func:`_cubic_start_rows` repeats every operation bit for bit (numpy's
+    cbrt, power and arctan2 differ from libm's).
+    """
+    s = m2 / 3
+    ss = s * s
+    p3 = m1 / 3 - ss
+    h = s * (m1 / 2 - ss) - m0 / 2
+    r = cmath.sqrt(h * h + p3 * p3 * p3)
+    a = h + r if h.real * r.real + h.imag * r.imag >= 0 else h - r
+    if a == 0 or not cmath.isfinite(a):
+        return None
+    k = math.frexp(max(abs(a.real), abs(a.imag)))[1] // 3
+    b = complex(math.ldexp(a.real, -3 * k), math.ldexp(a.imag, -3 * k))
+    x = cmath.sqrt(cmath.sqrt(b))
+    for _ in range(5):
+        xx = x * x
+        x = x - (xx * x - b) / (3 * xx)
+    u = complex(math.ldexp(x.real, k), math.ldexp(x.imag, k))
+    v = -p3 / u
+    x0, x1, x2 = u + v - s, _OMEGA * u + _OMEGA_BAR * v - s, _OMEGA_BAR * u + _OMEGA * v - s
+    if not (cmath.isfinite(x0) and cmath.isfinite(x1) and cmath.isfinite(x2)):
+        return None
+    if x0 == x1 or x0 == x2 or x1 == x2:
+        return None
+    return x0, x1, x2
+
+
 def _aberth_roots(coeffs: Sequence[complex]) -> list[complex]:
     """All roots of a degree >= 3 polynomial by simultaneous (Ehrlich-Aberth)
     iteration with one Newton polish per root.
 
     This is the generic loop, the reference every other form follows
     operation by operation: :func:`_aberth_cubic` (degree 3, unrolled) and
-    :func:`_aberth_rows` (every row of an array).  Multiple roots come out
-    as tight clusters of repeated values, which is exactly what callers
-    counting preimages with multiplicity need.
+    :func:`_aberth_rows` (every row of an array).  A cubic starts from
+    Cardano's roots (:func:`_cubic_start`), where they are usable, and every
+    other polynomial from points on a circle of radius 1 + max |c_k / c_n|.
+    Multiple roots come out as tight clusters of repeated values, which is
+    exactly what callers counting preimages with multiplicity need.
     """
     n = len(coeffs) - 1
     lead = coeffs[-1]
     monic = [c / lead for c in coeffs]
     deriv = [k * monic[k] for k in range(1, n + 1)]
     radius = 1.0 + max(abs(c) for c in monic[:-1])
-    xs = [radius * cmath.exp(1j * (2 * math.pi * k / n + 0.4)) for k in range(n)]
+    start = _cubic_start(*monic[:3]) if n == 3 else None
+    if start is None:
+        xs = [radius * cmath.exp(1j * (2 * math.pi * k / n + 0.4)) for k in range(n)]
+    else:
+        xs = list(start)
 
     coeff_mag = [abs(c) for c in monic]
     converged = False
@@ -203,9 +253,12 @@ def _aberth_cubic(coeffs: Sequence[complex]) -> list[complex]:
     """:func:`_aberth_roots` of a cubic, unrolled: the same floating-point
     operations in the same order, so the same roots bit for bit.
 
-    Horner starts from 0j, the stop test is the same (a NaN residual counts
-    as not converged), and each root pair is divided once: 1 / (x_j - x_i) is
-    exactly -(1 / (x_i - x_j)).  The rare sweeps, a zero pair difference or
+    It starts from the same points (Cardano's roots, or the circle where
+    :func:`_cubic_start` refuses them), Horner starts from 0j, the stop test
+    is the same (a NaN residual counts as not converged), and each root pair
+    is divided once: 1 / (x_j - x_i) is exactly -(1 / (x_i - x_j)).  From
+    Cardano's roots the stop test usually passes at sweep 0, so each root gets
+    only the Newton polish.  The rare sweeps, a zero pair difference or
     derivative, and no convergence within ``_MAX_SWEEPS``, rerun the generic
     loop from the start instead, which gives the same roots, or the same
     :class:`SolverDivergence`.
@@ -214,9 +267,13 @@ def _aberth_cubic(coeffs: Sequence[complex]) -> list[complex]:
     m0, m1, m2, m3 = c0 / c3, c1 / c3, c2 / c3, c3 / c3
     d0, d1, d2 = 1 * m1, 2 * m2, 3 * m3
     g0, g1, g2, g3 = abs(m0), abs(m1), abs(m2), abs(m3)
-    radius = 1.0 + max(g0, g1, g2)
-    u0, u1, u2 = _CUBIC_START
-    x0, x1, x2 = radius * u0, radius * u1, radius * u2
+    start = _cubic_start(m0, m1, m2)
+    if start is None:
+        radius = 1.0 + max(g0, g1, g2)
+        u0, u1, u2 = _CUBIC_START
+        x0, x1, x2 = radius * u0, radius * u1, radius * u2
+    else:
+        x0, x1, x2 = start
     tol = _RESIDUAL_TOL
     for _ in range(_MAX_SWEEPS):
         p0 = (((0j * x0 + m3) * x0 + m2) * x0 + m1) * x0 + m0
@@ -658,11 +715,56 @@ def _aberth_sums(xr, xi):
     return acc_r, acc_i
 
 
+def _cubic_start_rows(mr, mi):
+    """:func:`_cubic_start` on every row of an (m, 4) monic cubic's parts, the
+    same operations spelled out on (real, imag) pairs: the starts as (m, 3)
+    real and imaginary parts, and the mask of rows that take them (the other
+    rows' entries are meaningless)."""
+    m0, m1, m2 = (mr[:, 0], mi[:, 0]), (mr[:, 1], mi[:, 1]), (mr[:, 2], mi[:, 2])
+    with np.errstate(all="ignore"):  # the refused rows may overflow or divide by 0
+        sr, si = _div(*m2, 3.0, 0.0)
+        ssr, ssi = _mul(sr, si, sr, si)
+        tr, ti = _div(*m1, 3.0, 0.0)
+        p3r, p3i = tr - ssr, ti - ssi
+        tr, ti = _div(*m1, 2.0, 0.0)
+        tr, ti = _mul(sr, si, tr - ssr, ti - ssi)
+        hr, hi = _div(*m0, 2.0, 0.0)
+        hr, hi = tr - hr, ti - hi
+        tr, ti = _mul(*_mul(p3r, p3i, p3r, p3i), p3r, p3i)
+        rr, ri = _mul(hr, hi, hr, hi)
+        rr, ri = _sqrt(rr + tr, ri + ti)
+        plus = hr * rr + hi * ri >= 0
+        ar, ai = np.where(plus, hr + rr, hr - rr), np.where(plus, hi + ri, hi - ri)
+        ok = ((ar != 0) | (ai != 0)) & np.isfinite(ar) & np.isfinite(ai)
+        k = np.frexp(np.maximum(np.abs(ar), np.abs(ai)))[1] // 3
+        br, bi = np.ldexp(ar, -3 * k), np.ldexp(ai, -3 * k)
+        xr, xi = _sqrt(*_sqrt(br, bi))
+        for _ in range(5):
+            xxr, xxi = _mul(xr, xi, xr, xi)
+            nr, ni = _mul(xxr, xxi, xr, xi)
+            qr, qi = _div(nr - br, ni - bi, *_mul(3.0, 0.0, xxr, xxi))
+            xr, xi = xr - qr, xi - qi
+        ur, ui = np.ldexp(xr, k), np.ldexp(xi, k)
+        vr, vi = _div(-p3r, -p3i, ur, ui)
+        w, w_bar = (_OMEGA.real, _OMEGA.imag), (_OMEGA_BAR.real, _OMEGA_BAR.imag)
+        starts = [(ur + vr - sr, ui + vi - si)]
+        for a, b in ((w, w_bar), (w_bar, w)):
+            (aur, aui), (bvr, bvi) = _mul(*a, ur, ui), _mul(*b, vr, vi)
+            starts.append((aur + bvr - sr, aui + bvi - si))
+        xr = np.stack([x for x, _ in starts], axis=1)
+        xi = np.stack([y for _, y in starts], axis=1)
+    ok &= np.isfinite(xr).all(axis=1) & np.isfinite(xi).all(axis=1)
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        ok &= (xr[:, i] != xr[:, j]) | (xi[:, i] != xi[:, j])
+    return xr, xi, ok
+
+
 def _aberth_rows(cr, ci):
     """:func:`_aberth_roots` on every row of an (m, n+1) coefficient array at
-    once.  Each row starts from the same points, stops on the same residual
-    test and gets the same Newton polish as the scalar solver; a row leaves
-    the active set the sweep it converges."""
+    once.  Each row starts from the same points (for a cubic, Cardano's roots
+    from :func:`_cubic_start_rows` where the scalar start takes them), stops
+    on the same residual test and gets the same Newton polish as the scalar
+    solver; a row leaves the active set the sweep it converges."""
     m, n = cr.shape[0], cr.shape[1] - 1
     mr, mi = _div(cr, ci, cr[:, -1:], ci[:, -1:])
     k = np.arange(1, n + 1, dtype=float)
@@ -671,6 +773,9 @@ def _aberth_rows(cr, ci):
     radius = 1.0 + coeff_mag[:, :-1].max(axis=1)
     unit = np.array([cmath.exp(1j * (2 * math.pi * j / n + 0.4)) for j in range(n)])
     xr, xi = _mul(radius[:, None], 0.0, unit.real, unit.imag)
+    if n == 3:
+        sr, si, ok = _cubic_start_rows(mr, mi)
+        xr, xi = np.where(ok[:, None], sr, xr), np.where(ok[:, None], si, xi)
 
     def residual_small(mr, mi, mag, x_r, x_i):
         pr, pi = _horner_rows(mr, mi, x_r, x_i)

@@ -10,7 +10,8 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 # the same with 2,000 examples, for one property at a time: CI runs the chain
-# walker's property under it (pytest --hypothesis-profile thorough ...)
+# walker's property and the random cubics' property under it (pytest
+# --hypothesis-profile thorough ...)
 settings.register_profile("thorough", settings.get_profile("semijulia"), max_examples=2000)
 settings.load_profile("semijulia")
 
@@ -32,3 +33,20 @@ def cpus(request, monkeypatch):
     monkeypatch.setattr(workers, "_usable_cpus", lambda: request.param)
     monkeypatch.setattr(workers, "_fork_context", fork_context)
     return request.param, lookups
+
+
+@pytest.fixture
+def circle_start(monkeypatch):
+    """Every cubic's Ehrlich-Aberth iteration starts from the circle instead of
+    Cardano's roots, in the scalar solvers and the batch rows alike.  From
+    Cardano's roots z^3 + 0.3 converges at sweep 0; from the circle it takes
+    several sweeps, which the tests of the sweep machinery (the sweep budget,
+    the reruns of the generic loop, SolverDivergence) need."""
+    import numpy as np
+
+    import semijulia.ratmap as ratmap
+
+    monkeypatch.setattr(ratmap, "_cubic_start", lambda m0, m1, m2: None)
+    monkeypatch.setattr(
+        ratmap, "_cubic_start_rows", lambda mr, mi: (0.0, 0.0, np.zeros(mr.shape[0], dtype=bool))
+    )

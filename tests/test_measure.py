@@ -471,14 +471,16 @@ def test_test_functions_where_the_modulus_overflows_a_double():
 
 
 def scalar_check_invariance(sg, cloud, phis, rng=None, max_atoms=200_000):
-    n = len(cloud.points)
+    # the cloud's points as a list, INF where at_inf is set
+    listed = [INF if inf else z for z, inf in zip(cloud.zs.tolist(), cloud.at_inf.tolist())]
+    n = len(listed)
     total = cloud.total_mass
     if rng is not None and n > max_atoms:
         idx = rng.choice(n, size=max_atoms, p=cloud.masses / total)
-        points = [cloud.points[i] for i in idx]
+        points = [listed[i] for i in idx]
         weights = np.full(max_atoms, total / max_atoms)
     else:
-        points, weights = cloud.points, cloud.masses
+        points, weights = listed, cloud.masses
     acc = {name: 0.0 for name, _ in phis}
     for z, w in zip(points, weights):
         pres = [preimages(g, z) for g in sg.generators]
@@ -600,10 +602,11 @@ def test_full_tree_grid_same_bytes_on_any_cpu_count(cpus, monkeypatch):
     assert grid.outside_mass == pytest.approx(direct.outside_mass, rel=1e-13)
 
 
-def test_full_tree_grid_reraises_worker_solver_divergence(cpus, monkeypatch):
+def test_full_tree_grid_reraises_worker_solver_divergence(cpus, monkeypatch, circle_start):
     # the subtree roots are solved with the full sweep budget; then a
-    # two-sweep budget fails the first cubic fibre of every subtree, inside
-    # its worker, and the parent sees the scalar call's error
+    # two-sweep budget fails the first cubic fibre of every subtree (from the
+    # circle start), inside its worker, and the parent sees the scalar call's
+    # error
     import semijulia.measure as measure
     import semijulia.ratmap as ratmap
 

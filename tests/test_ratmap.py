@@ -447,9 +447,9 @@ def test_batch_cubic_rows_follow_scalar_branch_order():
     assert batch_rows(f, pts) == [preimages(f, z) for z in pts]
 
 
-def test_batch_raises_divergence_like_scalar(monkeypatch):
-    # with a two-sweep budget no cubic row converges; both paths report the
-    # same coefficients
+def test_batch_raises_divergence_like_scalar(monkeypatch, circle_start):
+    # with a two-sweep budget no cubic row converges from the circle start;
+    # both paths report the same coefficients
     import semijulia.ratmap as ratmap
 
     monkeypatch.setattr(ratmap, "_MAX_SWEEPS", 2)
@@ -533,9 +533,9 @@ def generic_loop_calls(monkeypatch):
     ],
     ids=["zero pair difference", "zero derivative"],
 )
-def test_cubic_rare_first_sweep_reruns_generic_loop(monkeypatch, generic_loop_calls, starts):
+def test_cubic_rare_first_sweep_reruns_generic_loop(monkeypatch, circle_start, generic_loop_calls, starts):
     # no cubic met in practice reaches either branch; moved starting
-    # directions do, in the first sweep
+    # directions of the circle start do, in the first sweep
     import semijulia.ratmap as ratmap
 
     monkeypatch.setattr(ratmap, "_CUBIC_START", starts(ratmap._CUBIC_START))
@@ -544,9 +544,9 @@ def test_cubic_rare_first_sweep_reruns_generic_loop(monkeypatch, generic_loop_ca
     assert len(generic_loop_calls) == 1
 
 
-def test_cubic_sweep_budget_reruns_generic_loop(monkeypatch, generic_loop_calls):
-    # the smallest budget that does not raise ends with the last sweep's
-    # update, which the final residual check accepts
+def test_cubic_sweep_budget_reruns_generic_loop(monkeypatch, circle_start, generic_loop_calls):
+    # from the circle start, the smallest budget that does not raise ends
+    # with the last sweep's update, which the final residual check accepts
     import semijulia.ratmap as ratmap
 
     z = 0.5 + 0.25j
@@ -590,6 +590,143 @@ def test_nan_residual_never_passes_the_stop_test():
     # the preimages of infinity are the roots of that denominator
     with pytest.raises(SolverDivergence):
         preimages(rational_map([1], [1e300, 0, 0, 1]), INF)
+
+
+# ---------------------------------------------------------------------------
+# Cardano's start of the cubic iteration: the scalar start against the batch
+# start, and whole preimages rows against preimages_batch rows
+
+
+def cubic_with_roots(*roots):
+    """Ascending coefficients of the monic cubic with these roots."""
+    return [complex(c) for c in np.poly(roots)[::-1]]
+
+
+def cubic_edge_rows():
+    """(class, num, den, z) rows whose fibre num - z den is a cubic of each
+    edge class of Cardano's start, seeded."""
+    rng = np.random.default_rng(2113)
+
+    def draw(k, scale=1.0):
+        return (scale * rng.normal(size=(k, 2)) @ [1, 1j]).tolist()
+
+    rows = [("p = 0", [0.3, 0, 0, 1], [1], w) for w in [0j, 1 + 0j, *draw(4, 2.0)]]
+    # q = 0: t^3 + p t, also shifted by s (x = t - s)
+    for p, s in [(-1, 0), (1j, 0), *zip(draw(3), draw(3))]:
+        shifted = [s**3 + p * s, 3 * s * s + p, 3 * s, 1]
+        rows.append(("q = 0", shifted, [1], 0j))
+    # triple roots, A = 0 exactly: the circle start is taken
+    rows += [("triple", [0.3, 0, 0, 1], [1], 0.3 + 0j), ("triple", [-1, 3, -3, 1], [1], 0j)]
+    # near-triple clusters: (x - a)^3 - eps
+    for a, eps in [(1, 1e-12), (1, 1e-15), (draw(1)[0], 1e-10), (draw(1)[0], 1e-13j)]:
+        rows.append(("near-triple", [-(a**3), 3 * a * a, -3 * a, 1], [1], eps))
+    # a small root among large ones: Cardano's u + v - s cancels in it
+    for small, big in [(1e-8, 50), (1e-6, 30j), (1e-5, 80)]:
+        rows.append(("small among large", cubic_with_roots(small, big, -2 * big + 1j), [1], 0j))
+    # numerator and denominator scaled by 2^k, so that the fibres peak just
+    # inside or just outside the 2^+-500 rescale
+    for k in (497, 501, -501, -504):
+        num, den = draw(4), draw(2)
+        rows += [("2^+-500", [2.0**k * c for c in num], [2.0**k * c for c in den], w) for w in draw(2)]
+    # rational maps of degree 3, at seeded points
+    rows += [("rational", draw(4), draw(3), w) for w in draw(3, 2.0)]
+    return rows
+
+
+CUBIC_EDGE_ROWS = cubic_edge_rows()
+CUBIC_EDGE_IDS = [f"{row[0]} {k}" for k, row in enumerate(CUBIC_EDGE_ROWS)]
+
+
+def monic_fibre(f, z):
+    """The monic coefficients the cubic solvers form from preimages' fibre."""
+    from semijulia.ratmap import _fibre, _normalized
+
+    cs = _normalized(*_fibre(f, z))[0]
+    return [c / cs[3] for c in cs]
+
+
+def batch_start(monic):
+    from semijulia.ratmap import _cubic_start_rows
+
+    c = np.array([monic])
+    xr, xi, ok = _cubic_start_rows(c.real, c.imag)
+    return (xr[0] + 1j * xi[0]).tolist() if ok[0] else None
+
+
+@pytest.mark.parametrize("cls, num, den, z", CUBIC_EDGE_ROWS, ids=CUBIC_EDGE_IDS)
+def test_cubic_edge_rows_start_and_roots_match_batch(cls, num, den, z):
+    from semijulia.ratmap import _cubic_start
+
+    f = rational_map(num, den)
+    assert f.degree == 3
+    monic = monic_fibre(f, z)
+    start = _cubic_start(*monic[:3])
+    assert repr(None if start is None else list(start)) == repr(batch_start(monic))
+    got = preimages(f, z)
+    assert repr(batch_rows(f, [z])) == repr([got])
+    for w in got:
+        assert chordal_distance(evaluate(f, w), z) <= 1e-9
+    assert (start is None) == (cls == "triple")
+
+
+def test_small_root_among_large_ones_iterates_past_cardano():
+    # Cardano's small root cancels to about 5 digits; the iteration takes it
+    # on to full precision before the stop test passes
+    from semijulia.ratmap import _cubic_start
+
+    cs = cubic_with_roots(1e-8, 1e4, -2e4 + 1j)
+    small_start = min(_cubic_start(*cs[:3]), key=abs)
+    small = min(polynomial_roots(cs), key=abs)
+    assert abs(small_start - 1e-8) > 1e-6 * 1e-8
+    assert abs(small - 1e-8) <= 1e-14 * 1e-8
+
+
+def test_cubic_start_refuses_non_finite_and_coinciding_points():
+    from semijulia.ratmap import _cubic_start
+
+    for monic in (
+        [1e300 + 0j, 0j, 0j, 1 + 0j],  # h * h overflows
+        [0j, 1e200 + 0j, 0j, 1 + 0j],  # (p/3)^3 overflows
+        [0j, 0j, 0j, 1 + 0j],  # A = 0
+    ):
+        assert _cubic_start(*monic[:3]) is None
+        assert batch_start(monic) is None
+
+
+scales = st.sampled_from([10.0**k for k in range(-12, 13, 3)] + [2.0**499, 2.0**-501])
+
+
+@st.composite
+def cubic_rows(draw):
+    # a cubic map and a point, every coefficient at its own scale
+    num = [draw(coeff) * draw(scales) for _ in range(4)]
+    den = [draw(coeff) * draw(scales) for _ in range(draw(st.integers(1, 4)))]
+    try:
+        f = rational_map(num, den)
+    except ValueError:
+        assume(False)
+    assume(f.degree == 3)
+    return f, draw(coeff) * draw(scales)
+
+
+# 100 examples in the suite; CI runs 2,000 under --hypothesis-profile thorough
+@given(cubic_rows())
+def test_cubic_scalar_matches_batch_on_random_cubics(row):
+    from semijulia.ratmap import _cubic_start
+
+    f, z = row
+    try:
+        got = repr(preimages(f, z))
+    except SolverDivergence as err:
+        with pytest.raises(SolverDivergence) as batch:
+            batch_rows(f, [z])
+        assert batch.value.coeffs == err.coeffs
+        return
+    assert repr(batch_rows(f, [z])[0]) == got
+    monic = monic_fibre(f, z)
+    if all(cmath.isfinite(m) for m in monic):
+        start = _cubic_start(*monic[:3])
+        assert repr(None if start is None else list(start)) == repr(batch_start(monic))
 
 
 # ---------------------------------------------------------------------------
@@ -756,13 +893,24 @@ def golden_cases():
 
 
 def test_preimages_bits_are_pinned():
-    # sha1 of repr of every preimages list over golden_cases(), 149 calls,
-    # recorded at the commit before scalar preimages lost its separate
-    # degree-2 branch; it pins every root's bits and the branch order
+    # sha1 of repr of the preimages lists over golden_cases(), 149 calls; it
+    # pins every root's bits and the branch order.  The 149 calls were first
+    # pinned by one digest, recorded at the commit before scalar preimages
+    # lost its separate degree-2 branch.  Cubics now start their iteration at
+    # Cardano's roots, which moves the last bits of the 19 lists with three
+    # finite roots (every cubic solve; two are degree-4 maps at 0, where the
+    # fibre drops to degree 3), so they have their own digest, recorded after
+    # the scalar and batch cubic rows were checked equal by repr.  The other
+    # 130 lists did not move: their digest was taken at the commit before the
+    # Cardano start and holds after it.
     cases = golden_cases()
-    got = repr([preimages(f, z) for f, z in cases])
+    rows = [preimages(f, z) for f, z in cases]
     assert len(cases) == 149
-    assert hashlib.sha1(got.encode()).hexdigest() == "69cfceafa3be89ea24f73d4818174413fb2af0bf"
+    cubic = [r for r in rows if sum(not is_inf(w) for w in r) == 3]
+    other = [r for r in rows if sum(not is_inf(w) for w in r) != 3]
+    assert len(cubic) == 19
+    assert hashlib.sha1(repr(cubic).encode()).hexdigest() == "c31fc7463bf5bddddfa48c88407b2b71b0881f9c"
+    assert hashlib.sha1(repr(other).encode()).hexdigest() == "254ea46a5dad5ea78bfe8cec774e10a391ea69e1"
 
 
 # ---------------------------------------------------------------------------

@@ -195,7 +195,7 @@ def test_annulus_pair_shares_zero_and_infinity():
 def assert_trapped_on_zero_and_infinity(sg):
     # the chain from 0, let through unchecked, never leaves {0, INF}
     orbit = random_backward_orbit(sg, 0, 2_000, seed=3, check_start=False)
-    assert all(z is INF or z == 0 for z in orbit.points)
+    assert all(inf or z == 0 for z, inf in zip(orbit.zs.tolist(), orbit.at_inf.tolist()))
     cands = exceptional_candidates(sg)
     assert len(cands) == 2
     assert any(c is INF for c in cands)
