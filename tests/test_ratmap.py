@@ -670,8 +670,8 @@ def test_cubic_edge_rows_start_and_roots_match_batch(cls, num, den, z):
 
 
 def test_small_root_among_large_ones_iterates_past_cardano():
-    # Cardano's small root cancels to about 5 digits; the iteration takes it
-    # on to full precision before the stop test passes
+    # Cardano's small root keeps about 4 digits (u + v - s cancels); the
+    # iteration takes it on to full precision before the stop test passes
     from semijulia.ratmap import _cubic_start
 
     cs = cubic_with_roots(1e-8, 1e4, -2e4 + 1j)
@@ -688,6 +688,9 @@ def test_cubic_start_refuses_non_finite_and_coinciding_points():
         [1e300 + 0j, 0j, 0j, 1 + 0j],  # h * h overflows
         [0j, 1e200 + 0j, 0j, 1 + 0j],  # (p/3)^3 overflows
         [0j, 0j, 0j, 1 + 0j],  # A = 0
+        # x^3 + 3e8 x^2 + 1: h * h + (p/3)^3 cancels to 0, and both small
+        # roots come out as 0
+        [1 + 0j, 0j, 3e8 + 0j, 1 + 0j],
     ):
         assert _cubic_start(*monic[:3]) is None
         assert batch_start(monic) is None
