@@ -245,7 +245,8 @@ def _aberth_roots(coeffs: Sequence[complex]) -> list[complex]:
     return polished
 
 
-# the starting directions of the degree-3 sweep, as :func:`_aberth_roots`
+# the directions of the degree-3 sweep's circle start (where
+# :func:`_cubic_start` refuses Cardano's roots), as :func:`_aberth_roots`
 # forms them for n = 3
 _CUBIC_START = tuple(cmath.exp(1j * (2 * math.pi * k / 3 + 0.4)) for k in range(3))
 
