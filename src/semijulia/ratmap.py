@@ -175,32 +175,36 @@ def _aberth_roots(coeffs: Sequence[complex]) -> list[complex]:
     iteration with one Newton polish per root.
 
     This is the generic loop, the reference every other form follows
-    operation by operation: :func:`_aberth_cubic` (degree 3, unrolled) and
-    :func:`_aberth_rows` (every row of an array).  A cubic starts from
+    operation by operation: :func:`_aberth_cubic` (degree 3, sweep 0 only)
+    and :func:`_aberth_rows` (every row of an array).  A cubic starts from
     Cardano's roots (:func:`_cubic_start`), where they are usable, and every
     other polynomial from points on a circle of radius 1 + max |c_k / c_n|.
-    Multiple roots come out as tight clusters of repeated values, which is
-    exactly what callers counting preimages with multiplicity need.
+    Each sweep first tests every residual; the sweep where all pass gives
+    the polish its residuals, and a polynomial that fails the test at sweep
+    ``_MAX_SWEEPS``, or whose monic coefficients have a modulus beyond the
+    largest double, raises :class:`SolverDivergence`.  Multiple roots come
+    out as tight clusters of repeated values, which is exactly what callers
+    counting preimages with multiplicity need.
     """
     n = len(coeffs) - 1
     lead = coeffs[-1]
     monic = [c / lead for c in coeffs]
     deriv = [k * monic[k] for k in range(1, n + 1)]
-    radius = 1.0 + max(abs(c) for c in monic[:-1])
+    try:
+        coeff_mag = [abs(c) for c in monic]
+    except OverflowError:  # finite parts, modulus beyond the largest double
+        raise SolverDivergence(coeffs, 0) from None
+    radius = 1.0 + max(coeff_mag[:-1])
     start = _cubic_start(*monic[:3]) if n == 3 else None
     if start is None:
         xs = [radius * cmath.exp(1j * (2 * math.pi * k / n + 0.4)) for k in range(n)]
     else:
         xs = list(start)
 
-    coeff_mag = [abs(c) for c in monic]
-    converged = False
-    for _ in range(_MAX_SWEEPS):
-        offsets = []
+    for sweep in range(_MAX_SWEEPS + 1):
+        ps = [_horner(monic, x) for x in xs]
         all_small = True
-        for i in range(n):
-            x = xs[i]
-            p = _horner(monic, x)
+        for x, p in zip(xs, ps):
             # backward-error residual scale: sum |c_k| |x|^k
             ax = abs(x)
             scale = 0.0
@@ -208,11 +212,19 @@ def _aberth_roots(coeffs: Sequence[complex]) -> list[complex]:
                 scale = scale * ax + m
             if not abs(p) <= _RESIDUAL_TOL * max(scale, 1.0):  # NaN included
                 all_small = False
+                break
+        if all_small:
+            break
+        if sweep == _MAX_SWEEPS:
+            raise SolverDivergence(coeffs, _MAX_SWEEPS)
+        offsets = []
+        for i in range(n):
+            x = xs[i]
             dp = _horner(deriv, x)
             if dp == 0:
                 offsets.append(radius * 1e-6)
                 continue
-            newton = p / dp
+            newton = ps[i] / dp
             acc = 0j
             for j in range(n):
                 if j != i:
@@ -222,97 +234,39 @@ def _aberth_roots(coeffs: Sequence[complex]) -> list[complex]:
                     acc += 1.0 / diff
             denom = 1.0 - newton * acc
             offsets.append(newton if denom == 0 else newton / denom)
-        if all_small:
-            converged = True
-            break
         xs = [x - w for x, w in zip(xs, offsets)]
-    if not converged:
-        # final residual check; the loop may have exited right at the budget
-        for x in xs:
-            ax = abs(x)
-            scale = 0.0
-            for m in reversed(coeff_mag):
-                scale = scale * ax + m
-            if not abs(_horner(monic, x)) <= _RESIDUAL_TOL * max(scale, 1.0):
-                raise SolverDivergence(coeffs, _MAX_SWEEPS)
 
     polished = []
-    for x in xs:
+    for x, p in zip(xs, ps):
         dp = _horner(deriv, x)
-        if dp != 0:
-            x = x - _horner(monic, x) / dp
-        polished.append(x)
+        polished.append(x if dp == 0 else x - p / dp)
     return polished
 
 
-# the directions of the degree-3 sweep's circle start (where
-# :func:`_cubic_start` refuses Cardano's roots), as :func:`_aberth_roots`
-# forms them for n = 3
-_CUBIC_START = tuple(cmath.exp(1j * (2 * math.pi * k / 3 + 0.4)) for k in range(3))
-
-
 def _aberth_cubic(coeffs: Sequence[complex]) -> list[complex]:
-    """:func:`_aberth_roots` of a cubic, unrolled: the same floating-point
-    operations in the same order, so the same roots bit for bit.
-
-    It starts from the same points (Cardano's roots, or the circle where
-    :func:`_cubic_start` refuses them), Horner starts from 0j, the stop test
-    is the same (a NaN residual counts as not converged), and each root pair
-    is divided once: 1 / (x_j - x_i) is exactly -(1 / (x_i - x_j)).  From
-    Cardano's roots the stop test usually passes at sweep 0, so each root gets
-    only the Newton polish.  The rare sweeps, a zero pair difference or
-    derivative, and no convergence within ``_MAX_SWEEPS``, rerun the generic
-    loop from the start instead, which gives the same roots, or the same
-    :class:`SolverDivergence`.
+    """:func:`_aberth_roots` of a cubic whose Cardano start passes the stop
+    test at sweep 0: the same floating-point operations in the same order
+    (Horner from 0j, a NaN residual not converged), so the same roots bit for
+    bit.  A refused start, or one that fails the stop test, goes to the
+    generic loop, which gives the same roots or the same
+    :class:`SolverDivergence`.  Cardano refuses every cubic whose monic
+    coefficients have a modulus beyond the largest double (h*h or (p/3)^3
+    overflows), so ``abs`` does not raise here.
     """
     c0, c1, c2, c3 = coeffs
     m0, m1, m2, m3 = c0 / c3, c1 / c3, c2 / c3, c3 / c3
-    d0, d1, d2 = 1 * m1, 2 * m2, 3 * m3
-    g0, g1, g2, g3 = abs(m0), abs(m1), abs(m2), abs(m3)
     start = _cubic_start(m0, m1, m2)
     if start is None:
-        radius = 1.0 + max(g0, g1, g2)
-        u0, u1, u2 = _CUBIC_START
-        x0, x1, x2 = radius * u0, radius * u1, radius * u2
-    else:
-        x0, x1, x2 = start
-    tol = _RESIDUAL_TOL
-    for _ in range(_MAX_SWEEPS):
-        p0 = (((0j * x0 + m3) * x0 + m2) * x0 + m1) * x0 + m0
-        a = abs(x0)
-        s0 = (((0.0 * a + g3) * a + g2) * a + g1) * a + g0
-        p1 = (((0j * x1 + m3) * x1 + m2) * x1 + m1) * x1 + m0
-        a = abs(x1)
-        s1 = (((0.0 * a + g3) * a + g2) * a + g1) * a + g0
-        p2 = (((0j * x2 + m3) * x2 + m2) * x2 + m1) * x2 + m0
-        a = abs(x2)
-        s2 = (((0.0 * a + g3) * a + g2) * a + g1) * a + g0
-        # max(s, 1.0), NaN included
-        if (
-            abs(p0) <= tol * (1.0 if 1.0 > s0 else s0)
-            and abs(p1) <= tol * (1.0 if 1.0 > s1 else s1)
-            and abs(p2) <= tol * (1.0 if 1.0 > s2 else s2)
-        ):
-            break
-        dp0 = ((0j * x0 + d2) * x0 + d1) * x0 + d0
-        dp1 = ((0j * x1 + d2) * x1 + d1) * x1 + d0
-        dp2 = ((0j * x2 + d2) * x2 + d1) * x2 + d0
-        e01, e02, e12 = x0 - x1, x0 - x2, x1 - x2
-        if dp0 == 0 or dp1 == 0 or dp2 == 0 or e01 == 0 or e02 == 0 or e12 == 0:
-            return _aberth_roots(coeffs)
-        q01, q02, q12 = 1.0 / e01, 1.0 / e02, 1.0 / e12
-        n0, n1, n2 = p0 / dp0, p1 / dp1, p2 / dp2
-        w0 = 1.0 - n0 * (0j + q01 + q02)
-        w1 = 1.0 - n1 * (0j - q01 + q12)
-        w2 = 1.0 - n2 * (0j - q02 - q12)
-        x0 = x0 - (n0 if w0 == 0 else n0 / w0)
-        x1 = x1 - (n1 if w1 == 0 else n1 / w1)
-        x2 = x2 - (n2 if w2 == 0 else n2 / w2)
-    else:
         return _aberth_roots(coeffs)
-    # the Newton polish, on the residuals of the converged sweep
+    d0, d1, d2 = 1 * m1, 2 * m2, 3 * m3
+    g0, g1, g2, g3 = abs(m0), abs(m1), abs(m2), abs(m3)
     polished = []
-    for x, p in ((x0, p0), (x1, p1), (x2, p2)):
+    for x in start:
+        p = (((0j * x + m3) * x + m2) * x + m1) * x + m0
+        a = abs(x)
+        s = (((0.0 * a + g3) * a + g2) * a + g1) * a + g0
+        if not abs(p) <= _RESIDUAL_TOL * (1.0 if 1.0 > s else s):  # max(s, 1.0), NaN included
+            return _aberth_roots(coeffs)
         dp = ((0j * x + d2) * x + d1) * x + d0
         polished.append(x if dp == 0 else x - p / dp)
     return polished
@@ -765,8 +719,9 @@ def _aberth_rows(cr, ci):
     """:func:`_aberth_roots` on every row of an (m, n+1) coefficient array at
     once.  Each row starts from the same points (for a cubic, Cardano's roots
     from :func:`_cubic_start_rows` where the scalar start takes them), stops
-    on the same residual test and gets the same Newton polish as the scalar
-    solver; a row leaves the active set the sweep it converges."""
+    on the same residual test and gets the same Newton polish, from the
+    residuals of the sweep it converged in, as the scalar solver; a row
+    leaves the active set the sweep it converges."""
     m, n = cr.shape[0], cr.shape[1] - 1
     mr, mi = _div(cr, ci, cr[:, -1:], ci[:, -1:])
     k = np.arange(1, n + 1, dtype=float)
@@ -779,30 +734,32 @@ def _aberth_rows(cr, ci):
         sr, si, ok = _cubic_start_rows(mr, mi)
         xr, xi = np.where(ok[:, None], sr, xr), np.where(ok[:, None], si, xi)
 
-    def residual_small(mr, mi, mag, x_r, x_i):
-        pr, pi = _horner_rows(mr, mi, x_r, x_i)
+    # the active rows' working copies; a converged row's roots and residuals
+    # go to (xr, xi) and (res_r, res_i), and the row leaves every working array
+    res_r, res_i = np.empty_like(xr), np.empty_like(xi)
+    rows = np.arange(m)
+    live = (mr, mi, dr, di, coeff_mag, radius[:, None], xr.copy(), xi.copy())
+    for sweep in range(_MAX_SWEEPS + 1):
+        a_mr, a_mi, a_dr, a_di, a_mag, a_rad, x_r, x_i = live
+        pr, pi = _horner_rows(a_mr, a_mi, x_r, x_i)
         scale = np.zeros_like(x_r)
         ax = np.hypot(x_r, x_i)
         for j in range(n, -1, -1):
-            scale = scale * ax + mag[:, j, None]
-        return np.hypot(pr, pi) <= _RESIDUAL_TOL * np.maximum(scale, 1.0), pr, pi
-
-    # the active rows' working copies; a converged row's roots go back to
-    # (xr, xi) and the row leaves every working array
-    rows = np.arange(m)
-    live = (mr, mi, dr, di, coeff_mag, radius[:, None], xr.copy(), xi.copy())
-    for _ in range(_MAX_SWEEPS):
-        a_mr, a_mi, a_dr, a_di, a_mag, a_rad, x_r, x_i = live
-        small, pr, pi = residual_small(a_mr, a_mi, a_mag, x_r, x_i)
-        done = small.all(axis=1)
+            scale = scale * ax + a_mag[:, j, None]
+        done = (np.hypot(pr, pi) <= _RESIDUAL_TOL * np.maximum(scale, 1.0)).all(axis=1)
+        del ax, scale  # else the first sweep's (m, n) arrays live on into the polish
         if done.any():
             xr[rows[done]], xi[rows[done]] = x_r[done], x_i[done]
+            res_r[rows[done]], res_i[rows[done]] = pr[done], pi[done]
             keep = ~done
             rows, pr, pi = rows[keep], pr[keep], pi[keep]
             live = tuple(a[keep] for a in live)
             a_mr, a_mi, a_dr, a_di, a_mag, a_rad, x_r, x_i = live
-            if rows.size == 0:
-                break
+        if rows.size == 0:
+            break
+        if sweep == _MAX_SWEEPS:
+            bad = rows[0]
+            raise SolverDivergence((cr[bad] + 1j * ci[bad]).tolist(), _MAX_SWEEPS)
         dpr, dpi = _horner_rows(a_dr, a_di, x_r, x_i)
         zero_dp = (dpr == 0) & (dpi == 0)
         nr, ni = _div(pr, pi, np.where(zero_dp, 1.0, dpr), dpi)
@@ -814,20 +771,10 @@ def _aberth_rows(cr, ci):
         off_r = np.where(zero_dp, a_rad * 1e-6, np.where(zero_denom, nr, qr))
         off_i = np.where(zero_dp, 0.0, np.where(zero_denom, ni, qi))
         live = (a_mr, a_mi, a_dr, a_di, a_mag, a_rad, x_r - off_r, x_i - off_i)
-    else:
-        # rows still active ran the whole budget; the last sweep may have
-        # brought them within tolerance
-        a_mr, a_mi, _, _, a_mag, _, x_r, x_i = live
-        small, _, _ = residual_small(a_mr, a_mi, a_mag, x_r, x_i)
-        failed = rows[~small.all(axis=1)]
-        if failed.size:
-            bad = failed[0]
-            raise SolverDivergence((cr[bad] + 1j * ci[bad]).tolist(), _MAX_SWEEPS)
-        xr[rows], xi[rows] = x_r, x_i
 
     dpr, dpi = _horner_rows(dr, di, xr, xi)
     zero_dp = (dpr == 0) & (dpi == 0)
-    sr, si = _div(*_horner_rows(mr, mi, xr, xi), np.where(zero_dp, 1.0, dpr), dpi)
+    sr, si = _div(res_r, res_i, np.where(zero_dp, 1.0, dpr), dpi)
     return np.where(zero_dp, xr, xr - sr), np.where(zero_dp, xi, xi - si)
 
 

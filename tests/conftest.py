@@ -10,8 +10,8 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 # the same with 2,000 examples, for one property at a time: CI runs the chain
-# walker's property and the random cubics' property under it (pytest
-# --hypothesis-profile thorough ...)
+# walker's property, the random cubics' property and the batch rows'
+# property under it (pytest --hypothesis-profile thorough ...)
 settings.register_profile("thorough", settings.get_profile("semijulia"), max_examples=2000)
 settings.load_profile("semijulia")
 
@@ -38,10 +38,11 @@ def cpus(request, monkeypatch):
 @pytest.fixture
 def circle_start(monkeypatch):
     """Every cubic's Ehrlich-Aberth iteration starts from the circle instead of
-    Cardano's roots, in the scalar solvers and the batch rows alike.  From
-    Cardano's roots z^3 + 0.3 converges at sweep 0; from the circle it takes
-    several sweeps, which the tests of the sweep machinery (the sweep budget,
-    the reruns of the generic loop, SolverDivergence) need."""
+    Cardano's roots, in the scalar solvers and the batch rows alike, so every
+    scalar cubic solve is one generic loop call.  From Cardano's roots
+    z^3 + 0.3 converges at sweep 0, on the fast path that runs no sweep; from
+    the circle it takes several sweeps, which the tests of the sweep
+    machinery (the sweep budget, SolverDivergence) need."""
     import numpy as np
 
     import semijulia.ratmap as ratmap

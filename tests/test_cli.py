@@ -369,6 +369,17 @@ def test_main_unwritable_output_exit_1(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("runtime failure: cannot write ")
 
 
+def test_main_solver_divergence_in_a_chain_exit_1(tmp_path, capsys):
+    # the second generator's fibre over infinity is its denominator, whose
+    # monic constant has a modulus past the largest double: the chain's
+    # worker raises SolverDivergence, and the run reports it
+    big = {"numerator": [[1, 0]], "denominator": [[1.3e150, 1.3e150], [0, 0], [0, 0], [1e-158, 0]]}
+    gens = [{"numerator": [[0, 0], [0, 0], [1, 0]]}, big]
+    path = write_config(tmp_path, base_config(generators=gens, a=[0.3, 0.2], out=str(tmp_path / "x")))
+    assert main(["run", "--config", path]) == 1
+    assert capsys.readouterr().err.startswith("runtime failure: root finder did not converge")
+
+
 def test_main_flag_override_applies(tmp_path):
     path = write_config(tmp_path, base_config(out=str(tmp_path / "f")))
     assert main(["run", "--config", path, "--method", "full", "--depth", "5"]) == 0

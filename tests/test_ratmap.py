@@ -462,8 +462,9 @@ def test_batch_raises_divergence_like_scalar(monkeypatch, circle_start):
 
 
 # ---------------------------------------------------------------------------
-# the unrolled degree-3 sweep against the batch rows, which follow the
-# generic Ehrlich-Aberth loop operation by operation
+# the degree-3 solver (its sweep-0 fast path and the generic loop) against
+# the batch rows, which follow the generic Ehrlich-Aberth loop operation by
+# operation
 
 
 def cubic():
@@ -523,35 +524,51 @@ def generic_loop_calls(monkeypatch):
     return calls
 
 
+def cubic_start_at(monkeypatch, start):
+    """Every cubic's iteration starts from the fixed points ``start``, in the
+    scalar solvers and the batch rows alike."""
+    import semijulia.ratmap as ratmap
+
+    xs = np.array(start)
+    monkeypatch.setattr(ratmap, "_cubic_start", lambda m0, m1, m2: start)
+
+    def rows(mr, mi):
+        m = mr.shape[0]
+        return np.tile(xs.real, (m, 1)), np.tile(xs.imag, (m, 1)), np.ones(m, dtype=bool)
+
+    monkeypatch.setattr(ratmap, "_cubic_start_rows", rows)
+
+
 @pytest.mark.parametrize(
-    "starts",
+    "f, z, start",
     [
-        # two equal starting directions: two iterates coincide
-        lambda u: (u[0], u[0], u[2]),
+        # two equal starting points near the double root 1 of z^3 - 3z + 2:
+        # the pair stays together and passes the stop test once the third
+        # point has converged (a pair that starts together never parts)
+        (rational_map([2, -3, 0, 1]), 0j, (1.0000001 + 1e-8j, 1.0000001 + 1e-8j, -1.5 + 0j)),
         # the fibre z^3 + 0.3 - w has no linear term, so its derivative vanishes at 0
-        lambda u: (0j, u[1], u[2]),
+        (cubic(), 0.5 + 0.25j, (0j, -0.75 + 1.3j, -0.75 - 1.3j)),
     ],
     ids=["zero pair difference", "zero derivative"],
 )
-def test_cubic_rare_first_sweep_reruns_generic_loop(monkeypatch, circle_start, generic_loop_calls, starts):
-    # no cubic met in practice reaches either branch; moved starting
-    # directions of the circle start do, in the first sweep
-    import semijulia.ratmap as ratmap
-
-    monkeypatch.setattr(ratmap, "_CUBIC_START", starts(ratmap._CUBIC_START))
-    z = 0.5 + 0.25j
-    assert repr(preimages(cubic(), z)) == repr(batch_rows(cubic(), [z])[0])
+def test_cubic_rare_first_sweep_reruns_generic_loop(monkeypatch, generic_loop_calls, f, z, start):
+    # no cubic met in practice reaches either branch; these starts fail the
+    # stop test, so the generic loop and the batch rows meet the branch in
+    # their first sweep
+    cubic_start_at(monkeypatch, start)
+    assert repr(preimages(f, z)) == repr(batch_rows(f, [z])[0])
     assert len(generic_loop_calls) == 1
 
 
 def test_cubic_sweep_budget_reruns_generic_loop(monkeypatch, circle_start, generic_loop_calls):
     # from the circle start, the smallest budget that does not raise ends
-    # with the last sweep's update, which the final residual check accepts
+    # with the last sweep's update, which the stop test at sweep _MAX_SWEEPS
+    # accepts; each solve is one generic loop call
     import semijulia.ratmap as ratmap
 
     z = 0.5 + 0.25j
     full = repr(preimages(cubic(), z))
-    assert generic_loop_calls == []
+    assert len(generic_loop_calls) == 1
     for budget in range(1, 60):
         monkeypatch.setattr(ratmap, "_MAX_SWEEPS", budget)
         try:
@@ -565,15 +582,32 @@ def test_cubic_sweep_budget_reruns_generic_loop(monkeypatch, circle_start, gener
             continue
         break
     assert budget > 1
-    assert len(generic_loop_calls) == budget
+    assert len(generic_loop_calls) == budget + 1
     assert repr(roots) == full == repr(batch_rows(cubic(), [z])[0])
 
 
+def test_cubic_chain_never_runs_the_generic_loop(generic_loop_calls):
+    # every cubic fibre of a cubic-rational chain passes the stop test at
+    # Cardano's start; a cubic that needs sweeps runs the generic loop once
+    # and agrees with the batch rows
+    from semijulia.backward import random_backward_orbit
+    from semijulia.semigroup import Semigroup
+
+    sg = Semigroup((cubic(), rational_map([0.5, 0, 1], [0, 1.5])))
+    orbit = random_backward_orbit(sg, 0.3 + 0.2j, 5000, 1)
+    assert sum(s < 3 for s in orbit.symbols) > 2000  # cubic steps
+    assert generic_loop_calls == []
+    f = rational_map(cubic_with_roots(1e-8, 1e4, -2e4 + 1j))
+    assert repr(preimages(f, 0j)) == repr(batch_rows(f, [0j])[0])
+    assert len(generic_loop_calls) == 1
+
+
 def test_nan_residual_never_passes_the_stop_test():
-    # the monic constant 1e300 overflows x^3 in the first sweep; a NaN
-    # residual counts as not converged in the unrolled sweep, the generic
-    # loop and the batch rows alike, so all of them raise on the same
-    # coefficients instead of returning NaN roots
+    # Cardano refuses the start (h * h overflows), and from the circle the
+    # monic constant 1e300 overflows x^3 in the first sweep; a NaN residual
+    # counts as not converged in the generic loop and the batch rows alike,
+    # so every solver raises on the same coefficients instead of returning
+    # NaN roots
     from semijulia.ratmap import _aberth_cubic, _aberth_roots, _aberth_rows
 
     cs = [1 + 0j, 0j, 0j, 1e-300 + 0j]
@@ -590,6 +624,22 @@ def test_nan_residual_never_passes_the_stop_test():
     # the preimages of infinity are the roots of that denominator
     with pytest.raises(SolverDivergence):
         preimages(rational_map([1], [1e300, 0, 0, 1]), INF)
+
+
+def test_monic_modulus_past_the_largest_double_raises_divergence():
+    # finite parts, but |c0 / c_n| = 1.8e308 overflows abs: Cardano refuses
+    # the cubic's start, and the generic loop raises on the coefficients
+    # instead of an OverflowError
+    for cs in ([1.3e150 + 1.3e150j, 0, 0, 1e-158], [1.3e150 + 1.3e150j, 0, 0, 0, 1e-158]):
+        with pytest.raises(SolverDivergence) as err:
+            polynomial_roots(cs)
+        assert err.value.coeffs == tuple(cs)
+    # the preimages of infinity are the roots of that denominator; at a
+    # finite point the degree-drop cut removes its tiny lead
+    f = rational_map([1], [1.3e150 + 1.3e150j, 0, 0, 1e-158])
+    with pytest.raises(SolverDivergence) as err:
+        preimages(f, INF)
+    assert err.value.coeffs == tuple(f.denominator.coeffs)
 
 
 # ---------------------------------------------------------------------------
