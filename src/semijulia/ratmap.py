@@ -146,11 +146,23 @@ def _cubic_start(m0: complex, m1: complex, m2: complex) -> tuple[complex, comple
     :func:`_cubic_start_rows` repeats every operation bit for bit (numpy's
     cbrt, power and arctan2 differ from libm's).
     """
+    return _cardano(m0, *_cardano_consts(m1, m2))
+
+
+def _cardano_consts(m1: complex, m2: complex) -> tuple[complex, ...]:
+    """The terms of :func:`_cubic_start` without m0: s, -p/3, s (m1/2 - s^2), (p/3)^3."""
     s = m2 / 3
     ss = s * s
     p3 = m1 / 3 - ss
-    h = s * (m1 / 2 - ss) - m0 / 2
-    r = cmath.sqrt(h * h + p3 * p3 * p3)
+    return s, -p3, s * (m1 / 2 - ss), p3 * p3 * p3
+
+
+def _cardano(
+    m0: complex, s: complex, neg_p3: complex, hs: complex, p3_cubed: complex
+) -> tuple[complex, complex, complex] | None:
+    """:func:`_cubic_start` from m0 and the terms of :func:`_cardano_consts`."""
+    h = hs - m0 / 2
+    r = cmath.sqrt(h * h + p3_cubed)
     a = h + r if h.real * r.real + h.imag * r.imag >= 0 else h - r
     if a == 0 or not cmath.isfinite(a):
         return None
@@ -161,7 +173,7 @@ def _cubic_start(m0: complex, m1: complex, m2: complex) -> tuple[complex, comple
         xx = x * x
         x = x - (xx * x - b) / (3 * xx)
     u = complex(math.ldexp(x.real, k), math.ldexp(x.imag, k))
-    v = -p3 / u
+    v = neg_p3 / u
     x0, x1, x2 = u + v - s, _OMEGA * u + _OMEGA_BAR * v - s, _OMEGA_BAR * u + _OMEGA * v - s
     if not (cmath.isfinite(x0) and cmath.isfinite(x1) and cmath.isfinite(x2)):
         return None
@@ -229,8 +241,8 @@ def _aberth_roots(coeffs: Sequence[complex]) -> list[complex]:
             for j in range(n):
                 if j != i:
                     diff = x - xs[j]
-                    if diff == 0:
-                        diff = 1e-12 * (1 + abs(x))
+                    if diff == 0:  # a gap of opposite signs from either side
+                        diff = (1e-12 if i < j else -1e-12) * (1 + abs(x))
                     acc += 1.0 / diff
             denom = 1.0 - newton * acc
             offsets.append(newton if denom == 0 else newton / denom)
@@ -249,24 +261,41 @@ def _aberth_cubic(coeffs: Sequence[complex]) -> list[complex]:
     (Horner from 0j, a NaN residual not converged), so the same roots bit for
     bit.  A refused start, or one that fails the stop test, goes to the
     generic loop, which gives the same roots or the same
-    :class:`SolverDivergence`.  Cardano refuses every cubic whose monic
-    coefficients have a modulus beyond the largest double (h*h or (p/3)^3
-    overflows), so ``abs`` does not raise here.
+    :class:`SolverDivergence`; so does a monic coefficient whose modulus
+    passes the largest double, whose start Cardano refuses (h*h or (p/3)^3
+    overflows).  The chain walker calls the per-point part on its own terms.
     """
     c0, c1, c2, c3 = coeffs
-    m0, m1, m2, m3 = c0 / c3, c1 / c3, c2 / c3, c3 / c3
-    start = _cubic_start(m0, m1, m2)
+    try:
+        roots = _cubic_roots(c0, _cubic_consts(c1, c2, c3))
+    except OverflowError:  # abs of a monic coefficient
+        roots = None
+    return _aberth_roots(coeffs) if roots is None else roots
+
+
+def _cubic_consts(c1: complex, c2: complex, c3: complex) -> tuple:
+    """The terms of :func:`_aberth_cubic` without c0: c3, the monic m1, m2, m3,
+    Cardano's terms, the derivative's coefficients and |m1|, |m2|, |m3|."""
+    m1, m2, m3 = c1 / c3, c2 / c3, c3 / c3
+    return (c3, m1, m2, m3, *_cardano_consts(m1, m2), 1 * m1, 2 * m2, 3 * m3, abs(m1), abs(m2), abs(m3))
+
+
+def _cubic_roots(c0: complex, consts: tuple) -> list[complex] | None:
+    """:func:`_aberth_cubic` from c0 and the terms of :func:`_cubic_consts`,
+    or None where it runs the generic loop."""
+    c3, m1, m2, m3, s, neg_p3, hs, p3_cubed, d0, d1, d2, g1, g2, g3 = consts
+    m0 = c0 / c3
+    start = _cardano(m0, s, neg_p3, hs, p3_cubed)
     if start is None:
-        return _aberth_roots(coeffs)
-    d0, d1, d2 = 1 * m1, 2 * m2, 3 * m3
-    g0, g1, g2, g3 = abs(m0), abs(m1), abs(m2), abs(m3)
+        return None
+    g0 = abs(m0)
     polished = []
     for x in start:
         p = (((0j * x + m3) * x + m2) * x + m1) * x + m0
         a = abs(x)
         s = (((0.0 * a + g3) * a + g2) * a + g1) * a + g0
         if not abs(p) <= _RESIDUAL_TOL * (1.0 if 1.0 > s else s):  # max(s, 1.0), NaN included
-            return _aberth_roots(coeffs)
+            return None
         dp = ((0j * x + d2) * x + d1) * x + d0
         polished.append(x if dp == 0 else x - p / dp)
     return polished
@@ -519,6 +548,31 @@ def plain_fibres(maps: Sequence[RationalMap], zs: np.ndarray) -> bool:
     return True
 
 
+def _walk_step(f: RationalMap) -> tuple[int, tuple | None]:
+    """How :func:`preimage_walk` steps f: a kind and its terms without the point.
+
+    Kind 2 or 3 is a polynomial of that degree whose numerator has no -0.0
+    part.  For finite z its fibre is n0 - z d0 followed by the n_k of k >= 1
+    as they stand, bit for bit: n - z*0j == n for such n, and
+    n0 - z*(1+0j) == n0 - z, so d0 = 1 is kept as None.  The terms are n0,
+    d0, |lead|, max |n_k| over k >= 1, and b, a, b*b, 4*a for a quadratic or
+    :func:`_cubic_consts` for a cubic.  Kind 1 is any other quadratic, with
+    its fibre pairs; kind 0 any other map, every step a :func:`preimages`
+    call."""
+    (n0, d0), *upper = f._fibre_pairs
+    ns = [n for n, _ in upper]
+    if len(f.denominator.coeffs) == 1 and len(ns) in (2, 3) and all(
+        x != 0 or math.copysign(1.0, x) > 0 for n in (n0, *ns) for x in (n.real, n.imag)
+    ):
+        try:
+            mags = [abs(n) for n in ns]
+            fold = _cubic_consts(*ns) if len(ns) == 3 else (ns[0], ns[1], ns[0] * ns[0], 4 * ns[1])
+            return len(ns), (n0, None if d0 == 1 else d0, mags[-1], max(mags), fold)
+        except OverflowError:  # a modulus past the largest double
+            pass
+    return (1, f._fibre_pairs) if f.degree == 2 else (0, None)
+
+
 def preimage_walk(
     maps: Sequence[RationalMap],
     decode: Sequence[tuple[int, int]],
@@ -529,18 +583,21 @@ def preimage_walk(
     of the point before it, (j, r) = ``decode[symbols[k]]``, bit for bit.  The
     common row of a degree-2 map, with c != 0, is stepped inline by a copy of
     that closed form (``max`` as the builtin compares, the pair's order as plain
-    comparisons), which tests pin to :func:`preimages` by ``repr``; every other
-    step, and one whose b*b - 4ac underflows, is one :func:`preimages` call."""
+    comparisons), and a polynomial cubic's by :func:`_cubic_roots`; the terms
+    without the point come from :func:`_walk_step`, once per map.  Tests pin
+    the walk to :func:`preimages` by ``repr``.  Every other step, one whose
+    b*b - 4ac underflows and one whose cubic runs the generic loop, is one
+    :func:`preimages` call."""
     sqrt, below, above, drop = cmath.sqrt, _RESCALE_BELOW, _RESCALE_ABOVE, _LEAD_DROP
-    # per symbol: the map, its branch and, for degree 2, its fibre pairs
-    table = [(maps[j], r, maps[j]._fibre_pairs if maps[j].degree == 2 else None)
-             for j, r in decode]
+    steps = [_walk_step(f) for f in maps]
+    # per symbol: the map, its branch, its kind and its terms without the point
+    table = [(maps[j], r, *steps[j]) for j, r in decode]
     out: list[SpherePoint] = []
     append = out.append
     z = start
-    for f, r, pairs in map(table.__getitem__, symbols):
-        if pairs is not None and z is not INF:
-            (n0, d0), (n1, d1), (n2, d2) = pairs
+    for f, r, kind, k in map(table.__getitem__, symbols):
+        if kind == 1 and z is not INF:
+            (n0, d0), (n1, d1), (n2, d2) = k
             c, b, a = n0 - z * d0, n1 - z * d1, n2 - z * d2
             try:
                 lead, peak, mb = abs(a), abs(c), abs(b)
@@ -548,18 +605,37 @@ def preimage_walk(
                 lead = peak = mb = math.inf
             peak = mb if mb > peak else peak
             peak = lead if lead > peak else peak
-            if below <= peak <= above and lead > drop * peak and c != 0:
-                s = sqrt(b * b - 4 * a * c)
-                q = -0.5 * (b + s) if b.real * s.real + b.imag * s.imag >= 0 else -0.5 * (b - s)
-                try:
-                    w1, w2 = q / a, c / q
-                except ZeroDivisionError:  # b*b - 4ac underflowed: preimages rescales
-                    pass
-                else:
-                    swap = w2.real < w1.real or (w2.real == w1.real and w2.imag < w1.imag)
-                    z = w2 if swap != r else w1
-                    append(z)
-                    continue
+            bb, a4 = b * b, 4 * a
+        elif kind and z is not INF:
+            n0, d0, lead, top, fold = k
+            c = n0 - z if d0 is None else n0 - z * d0
+            try:
+                peak = abs(c)
+            except OverflowError:
+                peak = math.inf
+            peak = top if top > peak else peak
+            if kind == 3:
+                roots = _cubic_roots(c, fold) if below <= peak <= above and lead > drop * peak else None
+                z = preimages(f, z)[r] if roots is None else sorted(roots, key=_branch_key)[r]
+                append(z)
+                continue
+            b, a, bb, a4 = fold
+        else:
+            z = preimages(f, z)[r]
+            append(z)
+            continue
+        if below <= peak <= above and lead > drop * peak and c != 0:
+            s = sqrt(bb - a4 * c)
+            q = -0.5 * (b + s) if b.real * s.real + b.imag * s.imag >= 0 else -0.5 * (b - s)
+            try:
+                w1, w2 = q / a, c / q
+            except ZeroDivisionError:  # b*b - 4ac underflowed: preimages rescales
+                pass
+            else:
+                swap = w2.real < w1.real or (w2.real == w1.real and w2.imag < w1.imag)
+                z = w2 if swap != r else w1
+                append(z)
+                continue
         z = preimages(f, z)[r]
         append(z)
     return out
@@ -643,7 +719,7 @@ def _aberth_sums(xr, xi):
 
     1 / (x_j - x_i) is exactly -(1 / (x_i - x_j)) in CPython's division, so
     each pair is divided once.  Coinciding roots use 1e-12 (1 + |x_i|) for
-    their difference, the same from either side.
+    x_i - x_j with i < j, and its negative for i > j, so the pair parts.
     """
     n = xr.shape[1]
     terms = {}
@@ -653,14 +729,9 @@ def _aberth_sums(xr, xi):
             di = xi[:, i] - xi[:, j]
             coincide = (dr == 0) & (di == 0)
             if coincide.any():
-                gap = 1e-12 * (1 + np.hypot(xr[:, i], xi[:, i]))
-                dr = np.where(coincide, gap, dr)
-                tr, ti = _div(1.0, 0.0, dr, di)
-                terms[j, i] = np.where(coincide, tr, -tr), np.where(coincide, ti, -ti)
-            else:
-                tr, ti = _div(1.0, 0.0, dr, di)
-                terms[j, i] = -tr, -ti
-            terms[i, j] = tr, ti
+                dr = np.where(coincide, 1e-12 * (1 + np.hypot(xr[:, i], xi[:, i])), dr)
+            tr, ti = _div(1.0, 0.0, dr, di)
+            terms[i, j], terms[j, i] = (tr, ti), (-tr, -ti)
     acc_r = np.zeros_like(xr)
     acc_i = np.zeros_like(xi)
     for i in range(n):

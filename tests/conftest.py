@@ -10,8 +10,9 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 # the same with 2,000 examples, for one property at a time: CI runs the chain
-# walker's property, the random cubics' property and the batch rows'
-# property under it (pytest --hypothesis-profile thorough ...)
+# walker's two properties (random quadratics, random polynomials), the random
+# cubics' property and the batch rows' property under it
+# (pytest --hypothesis-profile thorough ...)
 settings.register_profile("thorough", settings.get_profile("semijulia"), max_examples=2000)
 settings.load_profile("semijulia")
 
@@ -47,7 +48,9 @@ def circle_start(monkeypatch):
 
     import semijulia.ratmap as ratmap
 
-    monkeypatch.setattr(ratmap, "_cubic_start", lambda m0, m1, m2: None)
+    # _cardano is the per-point part of Cardano's start, which _cubic_start,
+    # _aberth_cubic and the chain walker's cubic step all call
+    monkeypatch.setattr(ratmap, "_cardano", lambda m0, *terms: None)
     monkeypatch.setattr(
         ratmap, "_cubic_start_rows", lambda mr, mi: (0.0, 0.0, np.zeros(mr.shape[0], dtype=bool))
     )

@@ -419,6 +419,22 @@ def test_annulus_chain_never_calls_scalar_preimages(monkeypatch):
     assert len(orbit) == 5000 and calls == []
 
 
+def test_cubic_rational_chain_never_calls_scalar_preimages(monkeypatch):
+    # the polynomial cubic's steps run on its folded terms and the rational
+    # quadratic's on its fibre pairs, both inside the chain walker
+    import semijulia.ratmap as ratmap
+
+    sg = Semigroup(
+        (rational_map([0.3, 0, 0, 1]), rational_map([0.5, 0, 1], [0, 1.5])),
+        ProbabilityVector([0.5, 0.5]),
+    )
+    calls = []
+    monkeypatch.setattr(ratmap, "preimages", lambda f, z: calls.append(z))
+    orbit = random_backward_orbit(sg, 0.3 + 0.2j, 5000, seed=7, check_start=False)
+    assert len(orbit) == 5000 and calls == []
+    assert 0 < sum(s < 3 for s in orbit.symbols) < 5000  # cubic and rational steps
+
+
 def test_chain_bits_are_pinned():
     # sha1 of the run_chains zs and at_inf bytes, 2 chains x 10,000 steps per
     # pair.  The digests were recorded before preimage_walk existed, when each
@@ -426,14 +442,22 @@ def test_chain_bits_are_pinned():
     # bit for bit.  The cubic-rational digest was recorded again when cubics
     # began to start their iteration at Cardano's roots (the last bits of its
     # points moved), after the scalar and batch cubic rows were checked equal
-    # by repr; the annulus digest is the original.
+    # by repr; the annulus digest is the original.  The third pair, with
+    # complex lower coefficients and a constant denominator 2, was recorded
+    # before the walker took its polynomials' terms without the point once
+    # per map, when its cubic steps were preimages calls.
     cubic_rational = Semigroup(
         (rational_map([0.3, 0, 0, 1]), rational_map([0.5, 0, 1], [0, 1.5])),
+        ProbabilityVector([0.5, 0.5]),
+    )
+    polynomials = Semigroup(
+        (rational_map([-0.5, 0.3 + 0.1j, 1], [2]), rational_map([0.1j, -0.2, 0, 1])),
         ProbabilityVector([0.5, 0.5]),
     )
     for sg, start, seeds, digest in (
         (annulus_sg(), 1.0, [21, 22], "f367c01d91b38d53d676a733d98eeb1a278ff506"),
         (cubic_rational, 0.3 + 0.2j, [5, 6], "e21c294b0c9d16c07f56f5cd1d18f36c39acdba6"),
+        (polynomials, 0.3 + 0.2j, [7, 8], "3b73dfb261c32d09ff10f2c18308f58cb3833c4b"),
     ):
         cloud = run_chains(sg, start, 10_000, 2, burn_in=0, seeds=seeds)
         h = hashlib.sha1(cloud.zs.tobytes())

@@ -530,7 +530,7 @@ def cubic_start_at(monkeypatch, start):
     import semijulia.ratmap as ratmap
 
     xs = np.array(start)
-    monkeypatch.setattr(ratmap, "_cubic_start", lambda m0, m1, m2: start)
+    monkeypatch.setattr(ratmap, "_cardano", lambda m0, *terms: start)
 
     def rows(mr, mi):
         m = mr.shape[0]
@@ -543,8 +543,8 @@ def cubic_start_at(monkeypatch, start):
     "f, z, start",
     [
         # two equal starting points near the double root 1 of z^3 - 3z + 2:
-        # the pair stays together and passes the stop test once the third
-        # point has converged (a pair that starts together never parts)
+        # the zero difference takes the gap, of opposite signs from either
+        # side
         (rational_map([2, -3, 0, 1]), 0j, (1.0000001 + 1e-8j, 1.0000001 + 1e-8j, -1.5 + 0j)),
         # the fibre z^3 + 0.3 - w has no linear term, so its derivative vanishes at 0
         (cubic(), 0.5 + 0.25j, (0j, -0.75 + 1.3j, -0.75 - 1.3j)),
@@ -558,6 +558,21 @@ def test_cubic_rare_first_sweep_reruns_generic_loop(monkeypatch, generic_loop_ca
     cubic_start_at(monkeypatch, start)
     assert repr(preimages(f, z)) == repr(batch_rows(f, [z])[0])
     assert len(generic_loop_calls) == 1
+
+
+def test_coinciding_iterates_part(monkeypatch, generic_loop_calls):
+    # two equal starting points off any multiple root: the zero difference
+    # takes a gap of opposite signs from either side, so the pair parts and
+    # the solve converges, in the generic loop and the batch rows alike
+    p = 1.3 * cmath.exp(0.4j)
+    q = 1.3 * cmath.exp(1j * (2 * math.pi / 3 + 0.4))
+    cubic_start_at(monkeypatch, (p, p, q))
+    z = 0.5 + 0.25j
+    roots = preimages(cubic(), z)
+    assert repr(roots) == repr(batch_rows(cubic(), [z])[0])
+    assert len(generic_loop_calls) == 1
+    for w in roots:
+        assert abs(w**3 + 0.3 - z) <= 1e-12
 
 
 def test_cubic_sweep_budget_reruns_generic_loop(monkeypatch, circle_start, generic_loop_calls):
@@ -1020,11 +1035,11 @@ def random_symbols(maps, n, seed):
             1 + 1j,
             lambda steps, calls: 0 < len(calls) < len(steps),
         ),
-        # a cubic and a rational quadratic
+        # a polynomial cubic and a rational quadratic, both stepped inline
         (
             [rational_map([0.3, 0, 0, 1]), rational_map([0.5, 0, 1], [0, 1.5])],
             0.3 + 0.2j,
-            lambda steps, calls: 0 < len(calls) < len(steps),
+            lambda steps, calls: calls == [],
         ),
         # a degree-1 map
         ([square(), rational_map([0, 2])], 1 + 1j, lambda steps, calls: 0 < len(calls) < len(steps)),
@@ -1077,4 +1092,66 @@ def test_walk_matches_preimages_on_random_quadratics(maps, start, picks):
         j, r = decode[s]
         z = preimages(maps[j], z)[r]
         steps.append(z)
+    assert_same_reprs(preimage_walk(maps, decode, symbols, start), steps)
+
+
+@st.composite
+def polynomial_maps(draw):
+    # degree 2 or 3 over a constant denominator (1, 1 - 0j or not 1), complex
+    # coefficients, at a scale that may need the rescale, and in half the
+    # maps one numerator part set to -0.0
+    d = draw(st.sampled_from([2, 3]))
+    scale = draw(st.sampled_from([1.0, 1.0, 1.0, 2.0**-520, 2.0**520, 1e-200]))
+    num = [scale * draw(coeff) for _ in range(d + 1)]
+    if draw(st.booleans()):
+        k = draw(st.integers(0, d))
+        num[k] = draw(st.sampled_from([complex(-0.0, num[k].imag), complex(num[k].real, -0.0)]))
+    den = draw(st.sampled_from([1, complex(1, -0.0), 2, 0.5 - 0.25j, complex(-0.0, 1.5)]))
+    try:
+        f = rational_map(num, [den])
+    except ValueError:  # every coefficient underflowed
+        assume(False)
+    assume(f.degree == d)
+    return f
+
+
+# a -0.0 part: z^2 + (-0.5 - 0j) z + (1 - 0j) at -1 - 0j.  There
+# b = n1 - z*0j = (-0.5 + 0j) is not n1, and a step on the folded b would
+# give each branch the conjugate of its root, so the walker steps this map
+# on its fibre pairs
+NEGATIVE_ZERO_MAP = ([complex(1, -0.0), complex(-0.5, -0.0), 1], complex(-1, -0.0))
+
+
+def test_walk_steps_a_negative_zero_numerator_unfolded(monkeypatch):
+    num, z = NEGATIVE_ZERO_MAP
+    f = rational_map(num)
+    want = "[(0.25+1.3919410907075054j), (0.25000000000000006-1.3919410907075056j)]"
+    assert repr(preimages(f, z)) == want
+    for r in range(2):
+        walk, steps, calls = walk_and_steps(monkeypatch, [f], z, [r])
+        assert repr(walk) == repr(steps) and calls == []
+
+
+# 100 examples in the suite; CI runs 2,000 under --hypothesis-profile thorough
+@given(
+    st.lists(polynomial_maps(), min_size=1, max_size=2),
+    # a finite start: a polynomial's chain from INF stays there
+    st.one_of(coeff.map(lambda z: 3 * z), st.just(0j), coeff.map(lambda z: z * 1e200)),
+    st.lists(st.integers(0, 5), min_size=1, max_size=30),
+)
+@example([rational_map(NEGATIVE_ZERO_MAP[0])], NEGATIVE_ZERO_MAP[1], [0, 1, 0])
+def test_walk_matches_preimages_on_random_polynomials(maps, start, picks):
+    decode = [(j, r) for j, f in enumerate(maps) for r in range(f.degree)]
+    symbols = [p % len(decode) for p in picks]
+    z, steps = start, []
+    try:
+        for s in symbols:
+            j, r = decode[s]
+            z = preimages(maps[j], z)[r]
+            steps.append(z)
+    except SolverDivergence as err:
+        with pytest.raises(SolverDivergence) as walk:
+            preimage_walk(maps, decode, symbols, start)
+        assert walk.value.coeffs == err.coeffs
+        return
     assert_same_reprs(preimage_walk(maps, decode, symbols, start), steps)
