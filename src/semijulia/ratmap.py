@@ -555,8 +555,8 @@ def _walk_step(f: RationalMap) -> tuple[int, tuple | None]:
     part.  For finite z its fibre is n0 - z d0 followed by the n_k of k >= 1
     as they stand, bit for bit: n - z*0j == n for such n, and
     n0 - z*(1+0j) == n0 - z, so d0 = 1 is kept as None.  The terms are n0,
-    d0, |lead|, max |n_k| over k >= 1, and b, a, b*b, 4*a for a quadratic or
-    :func:`_cubic_consts` for a cubic.  Kind 1 is any other quadratic, with
+    d0, |lead|, max |n_k| over k >= 1, and b, a, b*b, 4*a and b's parts for
+    a quadratic or :func:`_cubic_consts` for a cubic.  Kind 1 is any other quadratic, with
     its fibre pairs; kind 0 any other map, every step a :func:`preimages`
     call."""
     (n0, d0), *upper = f._fibre_pairs
@@ -566,7 +566,11 @@ def _walk_step(f: RationalMap) -> tuple[int, tuple | None]:
     ):
         try:
             mags = [abs(n) for n in ns]
-            fold = _cubic_consts(*ns) if len(ns) == 3 else (ns[0], ns[1], ns[0] * ns[0], 4 * ns[1])
+            if len(ns) == 3:
+                fold = _cubic_consts(*ns)
+            else:
+                b, a = ns
+                fold = b, a, b * b, 4 * a, b.real, b.imag
             return len(ns), (n0, None if d0 == 1 else d0, mags[-1], max(mags), fold)
         except OverflowError:  # a modulus past the largest double
             pass
@@ -600,33 +604,33 @@ def preimage_walk(
             (n0, d0), (n1, d1), (n2, d2) = k
             c, b, a = n0 - z * d0, n1 - z * d1, n2 - z * d2
             try:
-                lead, peak, mb = abs(a), abs(c), abs(b)
+                lead, mc, mb = abs(a), abs(c), abs(b)
             except OverflowError:
-                lead = peak = mb = math.inf
-            peak = mb if mb > peak else peak
+                lead = mc = mb = math.inf
+            peak = mb if mb > mc else mc
             peak = lead if lead > peak else peak
-            bb, a4 = b * b, 4 * a
+            bb, a4, br, bi = b * b, 4 * a, b.real, b.imag
         elif kind and z is not INF:
             n0, d0, lead, top, fold = k
             c = n0 - z if d0 is None else n0 - z * d0
             try:
-                peak = abs(c)
+                mc = abs(c)
             except OverflowError:
-                peak = math.inf
-            peak = top if top > peak else peak
+                mc = math.inf
+            peak = top if top > mc else mc
             if kind == 3:
                 roots = _cubic_roots(c, fold) if below <= peak <= above and lead > drop * peak else None
                 z = preimages(f, z)[r] if roots is None else sorted(roots, key=_branch_key)[r]
                 append(z)
                 continue
-            b, a, bb, a4 = fold
+            b, a, bb, a4, br, bi = fold
         else:
             z = preimages(f, z)[r]
             append(z)
             continue
-        if below <= peak <= above and lead > drop * peak and c != 0:
+        if below <= peak <= above and lead > drop * peak and mc != 0.0:
             s = sqrt(bb - a4 * c)
-            q = -0.5 * (b + s) if b.real * s.real + b.imag * s.imag >= 0 else -0.5 * (b - s)
+            q = -0.5 * (b + s) if br * s.real + bi * s.imag >= 0 else -0.5 * (b - s)
             try:
                 w1, w2 = q / a, c / q
             except ZeroDivisionError:  # b*b - 4ac underflowed: preimages rescales
