@@ -556,9 +556,9 @@ def _walk_step(f: RationalMap) -> tuple[int, tuple | None]:
     as they stand, bit for bit: n - z*0j == n for such n, and
     n0 - z*(1+0j) == n0 - z, so d0 = 1 is kept as None.  The terms are n0,
     d0, |lead|, max |n_k| over k >= 1, and b, a, b*b, 4*a and b's parts for
-    a quadratic or :func:`_cubic_consts` for a cubic.  Kind 1 is any other quadratic, with
-    its fibre pairs; kind 0 any other map, every step a :func:`preimages`
-    call."""
+    a quadratic or :func:`_cubic_consts` for a cubic.  Kind 1 is any other
+    quadratic, with its fibre pairs; kind 0 any other map, every step a
+    :func:`preimages` call."""
     (n0, d0), *upper = f._fibre_pairs
     ns = [n for n, _ in upper]
     if len(f.denominator.coeffs) == 1 and len(ns) in (2, 3) and all(
@@ -609,7 +609,8 @@ def preimage_walk(
                 lead = mc = mb = math.inf
             peak = mb if mb > mc else mc
             peak = lead if lead > peak else peak
-            bb, a4, br, bi = b * b, 4 * a, b.real, b.imag
+            bb, a4 = b * b, 4 * a
+            br, bi = b.real, b.imag
         elif kind and z is not INF:
             n0, d0, lead, top, fold = k
             c = n0 - z if d0 is None else n0 - z * d0
