@@ -116,8 +116,8 @@ class BackwardOrbit(_PointArrays):
 
 
 def _expand_level_fast(sg: Semigroup, zs: np.ndarray) -> np.ndarray:
-    """One tree level for polynomial generators of degree <= 2, vectorized
-    in numpy's complex arithmetic (for its speed see ROADMAP.md, open item 6),
+    """One tree level for polynomial generators of degree 2, vectorized in
+    numpy's complex arithmetic (for its speed see ROADMAP.md, open item 8),
     branch-major as in :func:`_expand_level`.
 
     Row order matches the scalar branch labelling: per generator, roots
@@ -137,13 +137,7 @@ def _expand_level_fast(sg: Semigroup, zs: np.ndarray) -> np.ndarray:
         num = g.numerator.coeffs
         c0 = np.multiply(zs, g.denominator.coeffs[0])
         np.subtract(num[0], c0, out=c0)
-        c1 = num[1]
-        if g.degree == 1:
-            np.divide(-c0, c1, out=kids[row])
-            row += 1
-            continue
-        a = num[2]
-        b = c1
+        b, a = num[1], num[2]
         s = np.multiply(4.0 * a, c0)
         np.subtract(b * b, s, out=s)
         np.sqrt(s, out=s)
@@ -175,24 +169,40 @@ def _expand_level(
 ) -> tuple[np.ndarray, np.ndarray]:
     """All d preimages of every point, branch-major, as ``(kids, kids_inf)``
     of shape (d, n): row i holds branch i of every point, in point order.
-    Finite points under polynomials of degree <= 2 take
-    :func:`_expand_level_fast` where :func:`plain_fibres` proves that no row
-    needs the rescale or degree-drop rule, which that closed form lacks, and
-    where it divides by no zero q (an underflowed b*b - 4ac, which
-    :func:`preimages_batch` rescales)."""
-    gens = sg.generators
-    closed_form_maps = all(g.denominator.degree == 0 and g.degree <= 2 for g in gens)
-    if closed_form_maps and not at_inf.any() and plain_fibres(gens, zs):
+
+    Under polynomials of degree 2, a finite point takes
+    :func:`_expand_level_fast` where :func:`plain_fibres` proves that its
+    fibres need no rescale or degree-drop rule, which that closed form lacks,
+    and every other point :func:`preimages_batch`.  The bound is tried on the
+    level's largest |part| first, and point by point only where that fails or
+    a point is at infinity, so a point's preimages do not depend on the other
+    points of its level.  Only a zero q in the closed form (an underflowed
+    b*b - 4ac, which :func:`preimages_batch` rescales) sends the whole level
+    to :func:`preimages_batch`; no probe has shown that moving any bits."""
+    gens, fast = sg.generators, np.zeros(zs.shape, dtype=bool)
+    if all(g.denominator.degree == 0 and g.degree == 2 for g in gens):
+        parts = np.ascontiguousarray(zs).view(float)
+        m = max(-parts.min(initial=0.0), parts.max(initial=0.0))
+        level = not at_inf.any() and plain_fibres(gens, m)
+        if not level:
+            fast = ~at_inf & plain_fibres(gens, np.maximum(abs(zs.real), abs(zs.imag)))
         try:
             with np.errstate(divide="raise"):
-                kids = _expand_level_fast(sg, zs)
+                closed = _expand_level_fast(sg, zs if level else zs[fast])
         except FloatingPointError:  # c0 / q with q = 0: b*b - 4ac underflowed
-            pass
+            fast[:] = False
         else:
-            return kids, np.zeros(kids.shape, dtype=bool)
-    fibres = [preimages_batch(g, zs, at_inf) for g in sg.generators]
-    roots, inf = (np.hstack(parts) for parts in zip(*fibres))
-    return roots.T, inf.T
+            if level:
+                return closed, np.zeros(closed.shape, dtype=bool)
+    rest = ~fast
+    fibres = [preimages_batch(g, zs[rest], at_inf[rest]) for g in gens]
+    roots, inf = (np.hstack(parts).T for parts in zip(*fibres))
+    if not fast.any():
+        return roots, inf
+    kids = np.empty((sg.total_degree, zs.size), dtype=complex)
+    kids_inf = np.zeros(kids.shape, dtype=bool)
+    kids[:, fast], kids[:, rest], kids_inf[:, rest] = closed, roots, inf
+    return kids, kids_inf
 
 
 # A subtree: its root points as ``(zs, at_inf, masses)`` and the number of

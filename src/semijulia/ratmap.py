@@ -10,6 +10,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
@@ -186,9 +187,10 @@ def _aberth_roots(coeffs: Sequence[complex]) -> list[complex]:
     """All roots of a degree >= 3 polynomial by simultaneous (Ehrlich-Aberth)
     iteration with one Newton polish per root.
 
-    This is the generic loop, the reference every other form follows
-    operation by operation: :func:`_aberth_cubic` (degree 3, sweep 0 only)
-    and :func:`_aberth_rows` (every row of an array).  A cubic starts from
+    This is the generic loop, the one scalar solver of degree >= 3, and the
+    reference every other form follows operation by operation:
+    :func:`_cubic_roots` (the chain walker's cubic step, sweep 0 only) and
+    :func:`_aberth_rows` (every row of an array).  A cubic starts from
     Cardano's roots (:func:`_cubic_start`), where they are usable, and every
     other polynomial from points on a circle of radius 1 + max |c_k / c_n|.
     Each sweep first tests every residual; the sweep where all pass gives
@@ -255,34 +257,22 @@ def _aberth_roots(coeffs: Sequence[complex]) -> list[complex]:
     return polished
 
 
-def _aberth_cubic(coeffs: Sequence[complex]) -> list[complex]:
-    """:func:`_aberth_roots` of a cubic whose Cardano start passes the stop
-    test at sweep 0: the same floating-point operations in the same order
-    (Horner from 0j, a NaN residual not converged), so the same roots bit for
-    bit.  A refused start, or one that fails the stop test, goes to the
-    generic loop, which gives the same roots or the same
-    :class:`SolverDivergence`; so does a monic coefficient whose modulus
-    passes the largest double, whose start Cardano refuses (h*h or (p/3)^3
-    overflows).  The chain walker calls the per-point part on its own terms.
-    """
-    c0, c1, c2, c3 = coeffs
-    try:
-        roots = _cubic_roots(c0, _cubic_consts(c1, c2, c3))
-    except OverflowError:  # abs of a monic coefficient
-        roots = None
-    return _aberth_roots(coeffs) if roots is None else roots
-
-
 def _cubic_consts(c1: complex, c2: complex, c3: complex) -> tuple:
-    """The terms of :func:`_aberth_cubic` without c0: c3, the monic m1, m2, m3,
-    Cardano's terms, the derivative's coefficients and |m1|, |m2|, |m3|."""
+    """The terms of the cubic c0 + c1 z + c2 z^2 + c3 z^3 without c0, as
+    :func:`_cubic_roots` takes them: c3, the monic m1, m2, m3, Cardano's
+    terms, the derivative's coefficients and |m1|, |m2|, |m3|.  The chain
+    walker forms them once per map."""
     m1, m2, m3 = c1 / c3, c2 / c3, c3 / c3
     return (c3, m1, m2, m3, *_cardano_consts(m1, m2), 1 * m1, 2 * m2, 3 * m3, abs(m1), abs(m2), abs(m3))
 
 
 def _cubic_roots(c0: complex, consts: tuple) -> list[complex] | None:
-    """:func:`_aberth_cubic` from c0 and the terms of :func:`_cubic_consts`,
-    or None where it runs the generic loop."""
+    """The roots of the cubic from c0 and the terms of :func:`_cubic_consts`
+    where Cardano's start passes the stop test at sweep 0: the sweep 0 and
+    polish of :func:`_aberth_roots`, the same floating-point operations in
+    the same order (Horner from 0j, a NaN residual not converged), so the
+    same roots bit for bit.  None where Cardano refuses the start or the
+    start fails the test, so that the generic loop must run."""
     c3, m1, m2, m3, s, neg_p3, hs, p3_cubed, d0, d1, d2, g1, g2, g3 = consts
     m0 = c0 / c3
     start = _cardano(m0, s, neg_p3, hs, p3_cubed)
@@ -337,8 +327,6 @@ def _roots(cs: list[complex]) -> list[complex]:
         return [-cs[0] / cs[1]]
     if n == 2:
         return _quadratic_roots(cs[2], cs[1], cs[0])
-    if n == 3:
-        return _aberth_cubic(cs)
     return _aberth_roots(cs)
 
 
@@ -455,8 +443,7 @@ def evaluate(f: RationalMap, z: SpherePoint) -> SpherePoint:
     return INF
 
 
-def _branch_key(w: complex) -> tuple[float, float]:
-    return w.real, w.imag
+_branch_key = attrgetter("real", "imag")
 
 
 def _sorted_with_padding(finite: list[SpherePoint], degree: int) -> list[SpherePoint]:
@@ -530,22 +517,21 @@ def preimages(f: RationalMap, z: SpherePoint) -> list[SpherePoint]:
     return _sorted_with_padding(_roots(coeffs if top == d else coeffs[: top + 1]) if top else [], d)
 
 
-def plain_fibres(maps: Sequence[RationalMap], zs: np.ndarray) -> bool:
-    """Whether no fibre of a finite point of ``zs`` under ``maps`` drops degree
-    or needs the rescale or overflow rule, by a bound from m, the largest |part|
-    of zs: |num_k - z den_k| <= 2 (|num_k| + 2 m |den_k|), with |c| at most
-    |c.real| + |c.imag|, and a lead (den_d = 0) of at least its larger part."""
-    parts = np.ascontiguousarray(zs).view(float)
-    m = max(-parts.min(initial=0.0), parts.max(initial=0.0))
+def plain_fibres(maps: Sequence[RationalMap], m: float | np.ndarray) -> bool | np.ndarray:
+    """Whether no fibre under ``maps`` of a finite point whose parts are at
+    most m in modulus drops degree or needs the rescale or overflow rule, by
+    the bound |num_k - z den_k| <= 2 (|num_k| + 2 m |den_k|), with |c| at most
+    |c.real| + |c.imag|, and a lead (den_d = 0) of at least its larger part.
+    m is one bound (a bool comes back) or an array of them (a mask)."""
+    plain = True
     for f in maps:
-        peak = 2 * max(abs(n.real) + abs(n.imag) + 2 * m * (abs(d.real) + abs(d.imag))
-                       for n, d in f._fibre_pairs)
+        peak = 2 * np.maximum.reduce(
+            [abs(n.real) + abs(n.imag) + 2 * m * (abs(d.real) + abs(d.imag)) for n, d in f._fibre_pairs]
+        )
         n, d = f._fibre_pairs[-1]
         lead = max(abs(n.real), abs(n.imag))
-        if not (d == 0 and _RESCALE_BELOW <= lead and peak <= _RESCALE_ABOVE
-                and lead > _LEAD_DROP * peak):
-            return False
-    return True
+        plain &= (d == 0 and _RESCALE_BELOW <= lead) & (peak <= _RESCALE_ABOVE) & (lead > _LEAD_DROP * peak)
+    return plain
 
 
 def _walk_step(f: RationalMap) -> tuple[int, tuple | None]:

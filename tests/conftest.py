@@ -39,17 +39,17 @@ def cpus(request, monkeypatch):
 @pytest.fixture
 def circle_start(monkeypatch):
     """Every cubic's Ehrlich-Aberth iteration starts from the circle instead of
-    Cardano's roots, in the scalar solvers and the batch rows alike, so every
-    scalar cubic solve is one generic loop call.  From Cardano's roots
-    z^3 + 0.3 converges at sweep 0, on the fast path that runs no sweep; from
+    Cardano's roots, in the generic loop and the batch rows alike, and the
+    chain walker hands every cubic step to the generic loop.  From Cardano's
+    roots z^3 + 0.3 passes the stop test at sweep 0 and runs no sweep; from
     the circle it takes several sweeps, which the tests of the sweep
     machinery (the sweep budget, SolverDivergence) need."""
     import numpy as np
 
     import semijulia.ratmap as ratmap
 
-    # _cardano is the per-point part of Cardano's start, which _cubic_start,
-    # _aberth_cubic and the chain walker's cubic step all call
+    # _cardano is the per-point part of Cardano's start, which _cubic_start
+    # and the chain walker's cubic step (_cubic_roots) both call
     monkeypatch.setattr(ratmap, "_cardano", lambda m0, *terms: None)
     monkeypatch.setattr(
         ratmap, "_cubic_start_rows", lambda mr, mi: (0.0, 0.0, np.zeros(mr.shape[0], dtype=bool))

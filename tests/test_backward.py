@@ -45,6 +45,11 @@ def annulus_sg():
     )
 
 
+# the second map's preimages are huge, so a level holding them fails the
+# bound of the closed form while the first map's small points pass it
+SMALL_AND_HUGE = [([0.1 + 0.2j, 0.3, 0.25],), ([0, 0, 1e-10],)]
+
+
 def sphere_points(a):
     """The points of a cloud or an orbit as a list, INF where ``at_inf`` is set."""
     return [INF if inf else z for z, inf in zip(a.zs.tolist(), a.at_inf.tolist())]
@@ -153,14 +158,15 @@ def test_scalar_and_vectorized_expansion_agree():
 
 
 @pytest.mark.parametrize(
-    "den",
-    [[0, 1], [2, 0, 1]],
-    ids=["(z^2+1)/z", "(z^2+1)/(z^2+2), with INF atoms"],
+    "second",
+    [([1, 0, 1], [0, 1]), ([1, 0, 1], [2, 0, 1]), ([0.2, 0.3 + 0.7j],)],
+    ids=["(z^2+1)/z", "(z^2+1)/(z^2+2), with INF atoms", "0.2+(0.3+0.7i)z"],
 )
-def test_tree_equals_scalar_level_oracle(den):
-    # the batched levels are bitwise the scalar ones, INF atoms included
+def test_tree_equals_scalar_level_oracle(second):
+    # the batched levels are bitwise the scalar ones, INF atoms included; a
+    # degree-1 generator sends every level through preimages_batch as well
     sg = Semigroup(
-        (rational_map([0, 0, 1]), rational_map([1, 0, 1], den)),
+        (rational_map([0, 0, 1]), rational_map(*second)),
         ProbabilityVector([0.5, 0.5]),
     )
     level = [1 + 0j]
@@ -262,8 +268,14 @@ def test_tree_atoms_pick_the_materialized_atoms(gens, start, depth, some_inf):
         ([([0, 0, 1],), ([0, 0, 0.25],)], (0.5, 0.5), 1, 8, 64, False),
         ([([0, 0, 1],), ([1, 0, 1], [2, 0, 1])], (0.3, 0.7), 1, 6, 16, True),
         ([([0.3, 0, 0, 1],), ([0.5, 0, 1], [0, 1.5])], (0.5, 0.5), 0.5 + 0.2j, 7, 125, False),
+        (SMALL_AND_HUGE, (0.5, 0.5), 0.7 + 0.3j, 6, 4, True),
     ],
-    ids=["annulus", "(z^2+1)/(z^2+2), b=(0.3, 0.7), with INF atoms", "cubic+rational"],
+    ids=[
+        "annulus",
+        "(z^2+1)/(z^2+2), b=(0.3, 0.7), with INF atoms",
+        "cubic+rational",
+        "1e-10 z^2, with INF atoms",
+    ],
 )
 def test_subtree_blocks_walk_the_tree_in_word_order(gens, b, start, depth, chunk, some_inf):
     # the blocks of every subtree, in yield order, are the materialized tree
@@ -280,6 +292,18 @@ def test_subtree_blocks_walk_the_tree_in_word_order(gens, b, start, depth, chunk
         expected = getattr(tree, name).reshape(width, -1).T.reshape(-1)
         assert walked.tobytes() == expected.tobytes(), name
     assert tree.at_inf.any() == some_inf
+
+
+def test_tree_atoms_of_small_points_are_the_tree_atoms():
+    # the 32 words over the first map's branches: their levels hold only
+    # small points, where the tree's levels hold huge ones and INF too, and
+    # each point's preimages are the same bytes either way
+    sg = Semigroup(tuple(rational_map(*g) for g in SMALL_AND_HUGE))
+    tree = full_backward_tree(sg, 0.7 + 0.3j, 5, check_start=False)
+    idx = np.array([sum(((k >> i) & 1) * 4**i for i in range(5)) for k in range(32)])
+    zs, at_inf = tree_atoms(sg, 0.7 + 0.3j, 5, idx)
+    assert zs.tobytes() == tree.zs[idx].tobytes()
+    assert not at_inf.any() and tree.at_inf.any()
 
 
 def test_tree_atoms_edge_cases():

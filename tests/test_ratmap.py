@@ -462,9 +462,9 @@ def test_batch_raises_divergence_like_scalar(monkeypatch, circle_start):
 
 
 # ---------------------------------------------------------------------------
-# the degree-3 solver (its sweep-0 fast path and the generic loop) against
-# the batch rows, which follow the generic Ehrlich-Aberth loop operation by
-# operation
+# the degree-3 solvers (the chain walker's sweep-0 step and the generic
+# loop) against the batch rows, which follow the generic Ehrlich-Aberth loop
+# operation by operation
 
 
 def cubic():
@@ -623,12 +623,11 @@ def test_nan_residual_never_passes_the_stop_test():
     # counts as not converged in the generic loop and the batch rows alike,
     # so every solver raises on the same coefficients instead of returning
     # NaN roots
-    from semijulia.ratmap import _aberth_cubic, _aberth_roots, _aberth_rows
+    from semijulia.ratmap import _aberth_roots, _aberth_rows
 
     cs = [1 + 0j, 0j, 0j, 1e-300 + 0j]
     c = np.array([cs])
     for solve in (
-        _aberth_cubic,
         _aberth_roots,
         polynomial_roots,
         lambda cs: _aberth_rows(c.real, c.imag),
