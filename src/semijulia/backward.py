@@ -59,6 +59,8 @@ class _PointArrays:
         self.at_inf = np.asarray(self.at_inf, dtype=bool)
         if self.zs.ndim != 1 or self.at_inf.shape != self.zs.shape:
             raise ValueError(f"points {self.zs.shape} vs at-infinity mask {self.at_inf.shape}")
+        if not (np.isfinite(self.zs) | self.at_inf).all():
+            raise ValueError("a point not at infinity must be finite")
 
     @cached_property
     def points(self) -> list[SpherePoint]:
@@ -83,8 +85,9 @@ class WeightedPointCloud(_PointArrays):
         self.masses = np.asarray(self.masses, dtype=float)
         if self.masses.shape != self.zs.shape:
             raise ValueError(f"{self.zs.size} points vs masses {self.masses.shape}")
-        if self.masses.size and float(self.masses.min()) < 0:
-            raise ValueError("masses must be nonnegative")
+        # a NaN fails both comparisons
+        if self.masses.size and not 0 <= float(self.masses.min()) <= float(self.masses.max()) < np.inf:
+            raise ValueError("masses must be finite and nonnegative")
 
     @property
     def total_mass(self) -> float:

@@ -137,12 +137,13 @@ class GridMeasure:
         return float(self.cells.sum()) + self.outside_mass
 
 
-def _bin_arrays(
-    zs: np.ndarray, at_inf: np.ndarray, masses: np.ndarray, vp: Viewport
-) -> tuple[np.ndarray, float]:
-    """(cells, overflow mass) of one block of atoms: each atom's mass goes to
-    the cell containing its point, summed in atom order; atoms outside the
-    viewport or at infinity feed the overflow.
+def _bin_into(
+    cells: np.ndarray, zs: np.ndarray, at_inf: np.ndarray, masses: np.ndarray, vp: Viewport
+) -> float:
+    """Add one block of atoms into ``cells`` in place and return the block's
+    overflow mass: each atom's mass is added to the cell containing its
+    point, in atom order; atoms outside the viewport or at infinity feed the
+    overflow.
 
     The flat cell index is built in place over all atoms.  An outside atom
     gets index 0 and weight 0.0: adding +0.0 to a nonnegative partial sum
@@ -161,15 +162,16 @@ def _bin_arrays(
         flat += colf
     np.copyto(flat, 0.0, where=outside)
     weights = np.multiply(masses, ~outside, out=colf)
-    cells = np.bincount(flat.astype(np.int64), weights=weights, minlength=vp.ny * vp.nx)
-    return cells.reshape(vp.ny, vp.nx), float(masses[outside].sum())
+    np.add.at(cells.reshape(-1), flat.astype(np.int64), weights)
+    return float(masses[outside].sum())
 
 
 def bin_cloud(cloud: WeightedPointCloud, vp: Viewport) -> GridMeasure:
     """Accumulate each atom's mass into the cell containing its point, in
-    atom order; atoms outside the viewport or at infinity feed the overflow
-    slot."""
-    cells, outside = _bin_arrays(cloud.zs, cloud.at_inf, cloud.masses, vp)
+    atom order from 0.0; atoms outside the viewport or at infinity feed the
+    overflow slot."""
+    cells = np.zeros((vp.ny, vp.nx))
+    outside = _bin_into(cells, cloud.zs, cloud.at_inf, cloud.masses, vp)
     return GridMeasure(viewport=vp, cells=cells, outside_mass=outside)
 
 
@@ -185,14 +187,15 @@ def full_tree_grid(
     """Bin the full backward tree of the given depth without materializing it.
 
     The tree is cut into :func:`tree_subtrees` (levels wider than ``chunk``
-    points are split per branch); each subtree is binned block by block into
-    its own slot, in forked workers where :func:`run_tasks` can, and the
-    slots are added in subtree order.  The cut is fixed by the tree, not by
-    the CPU count, so the grid is the same, bit for bit, on any number of
-    CPUs.  Live memory stays O(chunk * d * n) per worker however large d^n
-    grows.  Equals binning the materialized tree up to floating-point
-    summation order: dyadic masses (the annulus pair) bin exactly, while a
-    grid of non-dyadic masses may differ in its last bits.
+    points are split per branch).  Each subtree adds its atoms, one by one
+    in the order its :func:`subtree_blocks` yields them, straight into its
+    own zeroed slot, in forked workers where :func:`run_tasks` can; the
+    slots are then added cell by cell in subtree order.  The cut is fixed by
+    the tree, not by the CPU count, so the grid is the same, bit for bit, on
+    any number of CPUs.  Live memory stays O(chunk * d * n) per worker
+    however large d^n grows.  Equals binning the materialized tree up to
+    floating-point summation order: dyadic masses (the annulus pair) bin
+    exactly, while a grid of non-dyadic masses may differ in its last bits.
     """
     start = ensure_point(start)
     if check_start:
@@ -203,13 +206,11 @@ def full_tree_grid(
     slot_outside = shared_array((n,), float)
 
     def bin_subtree(k: int) -> None:
-        cells, outside = slot_cells[k], 0.0
+        outside = 0.0
         for zs, at_inf, masses in subtree_blocks(sg, subtrees[k]):
-            block_cells, block_outside = _bin_arrays(zs, at_inf, masses, vp)
-            cells += block_cells
-            outside += block_outside
+            outside += _bin_into(slot_cells[k], zs, at_inf, masses, vp)
             # drop the block before the walker expands the next one
-            del zs, at_inf, masses, block_cells
+            del zs, at_inf, masses
         slot_outside[k] = outside
 
     run_tasks(n, bin_subtree)

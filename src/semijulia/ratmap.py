@@ -10,6 +10,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from itertools import zip_longest
 from operator import attrgetter
 from typing import Sequence
 
@@ -367,16 +368,10 @@ class RationalMap:
         sv = np.linalg.svd(sylvester, compute_uv=False)
         if sv[-1] <= _SHARED_ROOT_TOL * sv[0]:
             raise ValueError("numerator and denominator share a root")
-        pad = self.degree + 1
-        nc = list(self.numerator.coeffs) + [0j] * (pad - len(self.numerator.coeffs))
-        dc = list(self.denominator.coeffs) + [0j] * (pad - len(self.denominator.coeffs))
-        self._num_padded = tuple(nc)
-        self._den_padded = tuple(dc)
         # (num_k, den_k) for k = 0..degree: the fibre over w is num_k - w*den_k
-        self._fibre_pairs = tuple(zip(nc, dc))
-        # reversed coefficients for evaluation at large |z| via u = 1/z
-        self._num_rev = tuple(reversed(self.numerator.coeffs))
-        self._den_rev = tuple(reversed(self.denominator.coeffs))
+        self._fibre_pairs = tuple(
+            zip_longest(self.numerator.coeffs, self.denominator.coeffs, fillvalue=0j)
+        )
 
 
 def rational_map(num_coeffs: Sequence[complex], den_coeffs: Sequence[complex] = (1,)) -> RationalMap:
@@ -415,9 +410,10 @@ def evaluate(f: RationalMap, z: SpherePoint) -> SpherePoint:
         if math.isfinite(w.real) and math.isfinite(w.imag):
             return w
         return INF
+    # the reversed coefficients at u = 1/z
     u = 1.0 / z
-    rnum = _horner(f._num_rev, u)
-    rden = _horner(f._den_rev, u)
+    rnum = _horner(f.numerator.coeffs[::-1], u)
+    rden = _horner(f.denominator.coeffs[::-1], u)
     if rden == 0:
         return INF
     val = rnum / rden
@@ -459,7 +455,7 @@ def fibre_polynomial(f: RationalMap, w: SpherePoint) -> list[complex]:
     of w: num - w*den, or den for w at infinity; each leading coefficient
     that vanishes puts one preimage at infinity.  Where some |num_k - w*den_k|
     overflows, all come from w and num scaled by one power of two instead."""
-    return list(f._den_padded) if w is INF else _fibre(f, w)[0]
+    return [c for _, c in f._fibre_pairs] if w is INF else _fibre(f, w)[0]
 
 
 def _fibre(f: RationalMap, w: complex) -> tuple[list[complex], float]:
@@ -472,8 +468,7 @@ def _fibre(f: RationalMap, w: complex) -> tuple[list[complex], float]:
     if peak < math.inf:
         return coeffs, peak
     # 2**-e takes every |coefficient| below 2**(_RESCALE_EXP + 3)
-    nc = f._num_padded
-    dc = f._den_padded
+    nc, dc = zip(*f._fibre_pairs)
     cmax = max(max(abs(c.real), abs(c.imag)) for c in nc + dc)
     e = math.frexp(max(abs(w.real), abs(w.imag), 1.0))[1] + math.frexp(cmax)[1] - _RESCALE_EXP
     ws, *ns = [complex(math.ldexp(c.real, -e), math.ldexp(c.imag, -e)) for c in (w, *nc)]
@@ -872,8 +867,7 @@ def preimages_batch(
         roots[at_inf], inf[at_inf] = to_arrays(preimages(f, INF))
     # the (real, imag) parts of each root, written in place
     parts = roots.view(float).reshape(zs.size, d, 2)
-    num = np.array(f._num_padded)
-    den = np.array(f._den_padded)
+    num, den = np.array(f._fibre_pairs).T
     finite = np.flatnonzero(~at_inf)
     for s in range(0, finite.size, _BATCH_ROWS):
         rows = finite[s : s + _BATCH_ROWS]

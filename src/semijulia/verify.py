@@ -382,7 +382,7 @@ def crit_markov_transitions(ctx: VerificationContext) -> CriterionResult:
             (z.real >= 0.75) & (z.real < 1.25) & (z.imag >= -0.25) & (z.imag < 0.25)
         )
         visits += hits.size
-        counts += np.bincount(syms[hits], minlength=4)
+        np.add.at(counts, syms[hits], 1)
     checks.ge(float(visits), 1e4, "visits to the cell at z=1")
     freq = counts / max(visits, 1)
     checks.le(float(np.abs(freq - 0.25).max()), 0.02, "branch frequency deviation")

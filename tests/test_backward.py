@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from semijulia.backward import (
+    BackwardOrbit,
     EmptyTail,
     WeightedPointCloud,
     _expand_level,
@@ -669,3 +670,34 @@ def test_cloud_validation():
         WeightedPointCloud(*to_arrays([1 + 0j]), masses=np.array([0.5, 0.5]))
     with pytest.raises(ValueError):
         WeightedPointCloud(*to_arrays([1 + 0j]), masses=np.array([-0.5]))
+
+
+NAN, INF_F = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "masses",
+    [[NAN, 0.5, 0.5], [0.5, INF_F, 0.5], [0.25, 0.25, NAN]],
+    ids=["nan-first", "inf", "nan-last"],
+)
+def test_cloud_refuses_non_finite_masses(masses):
+    with pytest.raises(ValueError, match="finite"):
+        WeightedPointCloud(*to_arrays([1 + 0j, 2j, 0.5 + 0j]), masses=np.array(masses))
+
+
+@pytest.mark.parametrize(
+    "bad", [complex(NAN, 0), complex(0, NAN), complex(INF_F, 0), complex(1, -INF_F)]
+)
+@pytest.mark.parametrize("kind", ["cloud", "orbit"])
+def test_points_refuse_a_non_finite_point_not_at_infinity(kind, bad):
+    # the same entry is only a placeholder where the point is at infinity
+    zs = np.array([0.5 + 0.5j, bad, 1j])
+
+    def build(at_inf):
+        if kind == "cloud":
+            return WeightedPointCloud(zs, at_inf, np.full(3, 1 / 3))
+        return BackwardOrbit(start=1 + 0j, symbols=[0, 0, 0], zs=zs, at_inf=at_inf, seed=0)
+
+    with pytest.raises(ValueError, match="finite"):
+        build(np.zeros(3, dtype=bool))
+    assert len(build(np.array([False, True, False]))) == 3

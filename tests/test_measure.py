@@ -11,6 +11,8 @@ from semijulia.backward import (
     full_backward_tree,
     random_backward_orbit,
     run_chains,
+    subtree_blocks,
+    tree_subtrees,
 )
 from semijulia.measure import (
     EmptySet,
@@ -600,6 +602,40 @@ def test_full_tree_grid_same_bytes_on_any_cpu_count(cpus, monkeypatch):
     direct = bin_cloud(full_backward_tree(sg, 0.5, 4), vp)
     assert np.allclose(grid.cells, direct.cells, rtol=1e-13, atol=0)
     assert grid.outside_mass == pytest.approx(direct.outside_mass, rel=1e-13)
+
+
+def test_full_tree_grid_adds_each_subtree_atom_by_atom(monkeypatch):
+    # non-dyadic masses pin the order: each subtree adds its atoms one by one,
+    # in the order its blocks are yielded, into its own zeroed slot, and the
+    # slots are added in subtree order; no block is summed on its own first
+    import semijulia.workers as workers
+
+    # 8x8 cells: many a cell meets several atoms of one block
+    sg, vp = cubic_rational_sg(), Viewport(center=0j, width=4.0, height=4.0, nx=8, ny=8)
+    subtrees = tree_subtrees(sg, 0.5, 4, 8)
+    assert len(subtrees) == 5
+    cells, outside = np.zeros((vp.ny, vp.nx)), 0.0
+    for subtree in subtrees:
+        blocks = list(subtree_blocks(sg, subtree))
+        assert len(blocks) == 25
+        slot, slot_outside = np.zeros(vp.ny * vp.nx), 0.0
+        flats, weights = [], []
+        for zs, at_inf, masses in blocks:
+            col = np.floor((zs.real - vp.x0) / vp.cell_width)
+            row = np.floor((vp.y_top - zs.imag) / vp.cell_height)
+            inside = ~at_inf & (col >= 0) & (col < vp.nx) & (row >= 0) & (row < vp.ny)
+            flats.append(row[inside].astype(np.int64) * vp.nx + col[inside].astype(np.int64))
+            weights.append(masses[inside])
+            slot_outside += float(masses[~inside].sum())
+        np.add.at(slot, np.concatenate(flats), np.concatenate(weights))
+        cells += slot.reshape(vp.ny, vp.nx)
+        outside += slot_outside
+    grid = full_tree_grid(sg, 0.5, 4, vp, chunk=8)
+    monkeypatch.setattr(workers, "_usable_cpus", lambda: 1)
+    in_process = full_tree_grid(sg, 0.5, 4, vp, chunk=8)
+    for g in (grid, in_process):
+        assert g.cells.tobytes() == cells.tobytes()
+        assert g.outside_mass == outside
 
 
 def test_full_tree_grid_reraises_worker_solver_divergence(cpus, monkeypatch, circle_start):
