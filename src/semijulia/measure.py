@@ -143,7 +143,8 @@ def _bin_into(
     """Add one block of atoms into ``cells`` in place and return the block's
     overflow mass: each atom's mass is added to the cell containing its
     point, in atom order; atoms outside the viewport or at infinity feed the
-    overflow.
+    overflow.  ``cells`` must be C-contiguous, so that its flat view is no
+    copy.
 
     The flat cell index is built in place over all atoms.  An outside atom
     gets index 0 and weight 0.0: adding +0.0 to a nonnegative partial sum

@@ -410,7 +410,6 @@ def evaluate(f: RationalMap, z: SpherePoint) -> SpherePoint:
         if math.isfinite(w.real) and math.isfinite(w.imag):
             return w
         return INF
-    # the reversed coefficients at u = 1/z
     u = 1.0 / z
     rnum = _horner(f.numerator.coeffs[::-1], u)
     rden = _horner(f.denominator.coeffs[::-1], u)
