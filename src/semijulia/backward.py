@@ -26,7 +26,7 @@ from .semigroup import (
     sample_branch_block,
     validate_assumptions,
 )
-from .sphere import SpherePoint, ensure_point, from_arrays, to_arrays
+from .sphere import SpherePoint, ensure_point, from_arrays, point_arrays, to_arrays
 from .workers import run_tasks, shared_array
 
 __all__ = [
@@ -34,6 +34,7 @@ __all__ = [
     "WeightedPointCloud",
     "BackwardOrbit",
     "DEFAULT_BURN_IN",
+    "expand_level",
     "full_backward_tree",
     "tree_atoms",
     "tree_subtrees",
@@ -52,15 +53,7 @@ class EmptyTail(ValueError):
 
 class _PointArrays:
     """Points as arrays: point k is ``zs[k]`` (complex), or the point at
-    infinity where ``at_inf[k]`` is set (see :func:`to_arrays`)."""
-
-    def _check_points(self) -> None:
-        self.zs = np.asarray(self.zs, dtype=complex)
-        self.at_inf = np.asarray(self.at_inf, dtype=bool)
-        if self.zs.ndim != 1 or self.at_inf.shape != self.zs.shape:
-            raise ValueError(f"points {self.zs.shape} vs at-infinity mask {self.at_inf.shape}")
-        if not (np.isfinite(self.zs) | self.at_inf).all():
-            raise ValueError("a point not at infinity must be finite")
+    infinity where ``at_inf[k]`` is set (checked by :func:`point_arrays`)."""
 
     @cached_property
     def points(self) -> list[SpherePoint]:
@@ -81,7 +74,7 @@ class WeightedPointCloud(_PointArrays):
     masses: np.ndarray
 
     def __post_init__(self) -> None:
-        self._check_points()
+        self.zs, self.at_inf = point_arrays(self.zs, self.at_inf)
         self.masses = np.asarray(self.masses, dtype=float)
         if self.masses.shape != self.zs.shape:
             raise ValueError(f"{self.zs.size} points vs masses {self.masses.shape}")
@@ -109,7 +102,7 @@ class BackwardOrbit(_PointArrays):
     seed: int
 
     def __post_init__(self) -> None:
-        self._check_points()
+        self.zs, self.at_inf = point_arrays(self.zs, self.at_inf)
         if len(self.symbols) != self.zs.size:
             raise ValueError("symbols and points must have equal length")
 
@@ -121,7 +114,7 @@ class BackwardOrbit(_PointArrays):
 def _expand_level_fast(sg: Semigroup, zs: np.ndarray) -> np.ndarray:
     """One tree level for polynomial generators of degree 2, vectorized in
     numpy's complex arithmetic (for its speed see ROADMAP.md, open item 8),
-    branch-major as in :func:`_expand_level`.
+    branch-major as in :func:`expand_level`.
 
     Row order matches the scalar branch labelling: per generator, roots
     sorted by (real, imag).  The roots are not bitwise those of
@@ -167,11 +160,13 @@ def _expand_level_fast(sg: Semigroup, zs: np.ndarray) -> np.ndarray:
     return kids
 
 
-def _expand_level(
+def expand_level(
     sg: Semigroup, zs: np.ndarray, at_inf: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """All d preimages of every point, branch-major, as ``(kids, kids_inf)``
     of shape (d, n): row i holds branch i of every point, in point order.
+    Branch i is (j, r) = ``build_index_distribution(sg).decode[i]``, root r
+    of generator j; the tree and the transfer operator weight it b_j / d_j.
 
     Under polynomials of degree 2, a finite point takes
     :func:`_expand_level_fast` where :func:`plain_fibres` proves that its
@@ -188,7 +183,9 @@ def _expand_level(
         m = max(-parts.min(initial=0.0), parts.max(initial=0.0))
         level = not at_inf.any() and plain_fibres(gens, m)
         if not level:
-            fast = ~at_inf & plain_fibres(gens, np.maximum(abs(zs.real), abs(zs.imag)))
+            # the zs entry of a point at infinity is ignored: it may be inf
+            m = np.where(at_inf, 0.0, np.maximum(abs(zs.real), abs(zs.imag)))
+            fast = ~at_inf & plain_fibres(gens, m)
         try:
             with np.errstate(divide="raise"):
                 closed = _expand_level_fast(sg, zs if level else zs[fast])
@@ -235,7 +232,7 @@ def tree_subtrees(
     (zs, at_inf), masses, left = to_arrays([start]), np.array([1.0]), depth
     while left:
         size = masses.size
-        kids, kids_inf = _expand_level(sg, zs, at_inf)
+        kids, kids_inf = expand_level(sg, zs, at_inf)
         left -= 1
         if size * d > chunk:
             return _branches(kids, kids_inf, masses, pi, left)
@@ -261,7 +258,7 @@ def subtree_blocks(
         if left == 0:
             yield zs, at_inf, masses
             continue
-        kids, kids_inf = _expand_level(sg, zs, at_inf)
+        kids, kids_inf = expand_level(sg, zs, at_inf)
         stack.extend(reversed(_branches(kids, kids_inf, masses, pi, left - 1)))
 
 
@@ -279,7 +276,7 @@ def tree_atoms(
     zs, at_inf = to_arrays([ensure_point(start)])
     words = np.zeros(1, dtype=np.int64)  # row r holds the point of prefix words[r]
     for level in reversed(range(depth)):
-        kids, kids_inf = _expand_level(sg, zs, at_inf)
+        kids, kids_inf = expand_level(sg, zs, at_inf)
         prefixes = np.unique(idx // d**level)
         # child (prefix mod d) of the parent prefix // d
         at = prefixes % d, np.searchsorted(words, prefixes // d)

@@ -20,12 +20,12 @@ from .backward import (
     BackwardOrbit,
     EmptyTail,
     WeightedPointCloud,
+    expand_level,
     subtree_blocks,
     tree_subtrees,
 )
-from .ratmap import preimages_batch
-from .semigroup import Semigroup, validate_assumptions
-from .sphere import SpherePoint, ensure_point
+from .semigroup import Semigroup, build_index_distribution, validate_assumptions
+from .sphere import SpherePoint, ensure_point, point_arrays
 from .workers import run_tasks, shared_array
 
 __all__ = [
@@ -318,26 +318,24 @@ def circle_chordal_distance(
 TestFunction = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 # Atoms per block of the invariance check.  The block bounds the check's
-# (block, d) fibre arrays and the test-function values taken on them, and so
-# its peak memory; the root solver bounds its own temporaries.
+# (d, block) children arrays and the test-function values taken on them, and
+# so its peak memory; the root solver bounds its own temporaries.
 _INVARIANCE_BLOCK = 2**14
 
 
 def _transfer(
     sg: Semigroup, phis: Sequence[TestFunction], zs: np.ndarray, at_inf: np.ndarray
 ) -> list[np.ndarray]:
-    """T phi at every point for each phi, from one batch of preimages per
-    generator: the weighted sum of phi over all d preimages, branch i of
-    generator j weighted by b_j / d_j, in branch order."""
-    fibres = [preimages_batch(g, zs, at_inf) for g in sg.generators]
+    """T phi at every point for each phi, from one :func:`expand_level` call:
+    pi_i phi(branch i) summed from 0.0 in branch order, with pi_i = b_j / d_j
+    from :func:`build_index_distribution`, phi taking one branch row at a time."""
+    kids, kids_inf = expand_level(sg, zs, at_inf)
+    pi = build_index_distribution(sg).probabilities
     out = []
     for phi in phis:
         total = np.zeros(zs.size)
-        for g, w, (roots, inf) in zip(sg.generators, sg.b.weights, fibres):
-            vals = phi(roots.reshape(-1), inf.reshape(-1)).reshape(roots.shape)
-            bw = w / g.degree
-            for k in range(g.degree):
-                total += bw * vals[:, k]
+        for p, row, row_inf in zip(pi, kids, kids_inf):
+            total += p * phi(row, row_inf)
         out.append(total)
     return out
 
@@ -345,12 +343,10 @@ def _transfer(
 def apply_transfer_operator(
     sg: Semigroup, phi: TestFunction, zs: np.ndarray, at_inf: np.ndarray
 ) -> np.ndarray:
-    """(T phi)(z) at every point: the weighted average of phi over all d
-    preimages of z, branch i weighted by its probability b_j / d_j; uses the
-    same branch labelling as the backward engines."""
-    zs = np.asarray(zs, dtype=complex).reshape(-1)
-    at_inf = np.asarray(at_inf, dtype=bool).reshape(-1)
-    return _transfer(sg, [phi], zs, at_inf)[0]
+    """(T phi)(z) at every point, given as a cloud's points are: the weighted
+    average of phi over all d preimages of z, branch i weighted by b_j / d_j,
+    in the branch order and with the weights of a level of the full tree."""
+    return _transfer(sg, [phi], *point_arrays(zs, at_inf))[0]
 
 
 def sphere_re(zs: np.ndarray, at_inf: np.ndarray) -> np.ndarray:
@@ -423,8 +419,8 @@ def check_invariance(
     invariance of the empirical measure under the adjoint of T.
 
     Clouds larger than ``max_atoms`` are subsampled (mass-weighted, with
-    replacement) when a generator is supplied; preimages are computed once
-    per block of atoms and shared across all test functions.
+    replacement) when a generator is supplied; each block of atoms is
+    expanded once, by the tree's level expansion, for all test functions.
     """
     if max_atoms < 1:
         raise ValueError(f"max_atoms must be >= 1, got {max_atoms}")
@@ -432,6 +428,8 @@ def check_invariance(
     if n == 0:
         raise EmptySet("cannot check invariance of an empty cloud")
     total = cloud.total_mass
+    if total == 0:
+        raise ValueError("cannot check invariance of a cloud of zero total mass")
     zs, at_inf = cloud.zs, cloud.at_inf
     if rng is not None and n > max_atoms:
         # rng.choice(n, max_atoms, p=masses / total)'s indices from the same

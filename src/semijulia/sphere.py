@@ -13,7 +13,8 @@ from typing import Sequence, Union
 import numpy as np
 
 __all__ = [
-    "INF", "SpherePoint", "is_inf", "ensure_point", "chordal_distance", "to_arrays", "from_arrays"
+    "INF", "SpherePoint", "is_inf", "ensure_point", "chordal_distance", "to_arrays", "from_arrays",
+    "point_arrays",
 ]
 
 
@@ -58,6 +59,19 @@ def to_arrays(points: Sequence[SpherePoint]) -> tuple[np.ndarray, np.ndarray]:
     except TypeError:
         at_inf = np.fromiter((p is INF for p in points), dtype=bool, count=len(points))
         return np.array([0j if p is INF else p for p in points], dtype=complex), at_inf
+
+
+def point_arrays(zs, at_inf) -> tuple[np.ndarray, np.ndarray]:
+    """``(zs, at_inf)`` as the arrays of :func:`to_arrays`, refused unless
+    both are one-dimensional of one shape and every point not marked at
+    infinity is finite."""
+    zs = np.asarray(zs, dtype=complex)
+    at_inf = np.asarray(at_inf, dtype=bool)
+    if zs.ndim != 1 or at_inf.shape != zs.shape:
+        raise ValueError(f"points {zs.shape} vs at-infinity mask {at_inf.shape}")
+    if not (np.isfinite(zs) | at_inf).all():
+        raise ValueError("a point not at infinity must be finite")
+    return zs, at_inf
 
 
 def from_arrays(zs: np.ndarray, at_inf: np.ndarray) -> list[SpherePoint]:

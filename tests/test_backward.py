@@ -7,9 +7,9 @@ from semijulia.backward import (
     BackwardOrbit,
     EmptyTail,
     WeightedPointCloud,
-    _expand_level,
     _expand_level_fast,
     empirical_measure,
+    expand_level,
     full_backward_tree,
     random_backward_orbit,
     run_chains,
@@ -201,7 +201,7 @@ def test_level_whose_closed_form_meets_a_zero_q_is_the_batch_level(monkeypatch):
     tried, real = [], backward._expand_level_fast
     monkeypatch.setattr(backward, "_expand_level_fast", lambda sg, zs: tried.append(1) or real(sg, zs))
     zs, at_inf = np.array([1e-200 + 0j]), np.zeros(1, dtype=bool)
-    kids, kids_inf = _expand_level(Semigroup((f,)), zs, at_inf)
+    kids, kids_inf = expand_level(Semigroup((f,)), zs, at_inf)
     roots, inf = preimages_batch(f, zs, at_inf)
     assert tried == [1]
     assert repr(kids.T.tolist()) == repr(roots.tolist())
@@ -329,7 +329,7 @@ def test_tree_atoms_solve_each_fibre_once_per_level(monkeypatch):
     idx = _sample_indices(4**9)
     assert idx.size == 4096
     levels = []
-    expand, scalar = backward._expand_level, ratmap.preimages
+    expand, scalar = backward.expand_level, ratmap.preimages
 
     def level_spy(sg, zs, at_inf):
         levels.append([])
@@ -339,7 +339,7 @@ def test_tree_atoms_solve_each_fibre_once_per_level(monkeypatch):
         levels[-1].append((id(f), z))
         return scalar(f, z)
 
-    monkeypatch.setattr(backward, "_expand_level", level_spy)
+    monkeypatch.setattr(backward, "expand_level", level_spy)
     monkeypatch.setattr(ratmap, "preimages", scalar_spy)
     zs, at_inf = tree_atoms(sg, 1, 9, idx)
     monkeypatch.undo()

@@ -30,9 +30,11 @@ from semijulia.measure import (
     grid_to_text,
     hausdorff_distance,
     min_distances,
+    sphere_im,
+    sphere_re,
     total_variation,
 )
-from semijulia.ratmap import SolverDivergence, preimages, rational_map
+from semijulia.ratmap import SolverDivergence, plain_fibres, preimages, rational_map
 from semijulia.semigroup import ProbabilityVector, Semigroup, make_rng
 from semijulia.sphere import INF, chordal_distance, to_arrays
 
@@ -344,6 +346,78 @@ def test_transfer_operator_two_generators():
     assert value[0] == pytest.approx(0.0, abs=1e-12)
 
 
+def cubic_rational_sg():
+    return Semigroup(
+        (rational_map([0.3, 0, 0, 1]), rational_map([0.5, 0, 1], [0, 1.5])),
+        ProbabilityVector([0.5, 0.5]),
+    )
+
+
+def annulus_points(n=200):
+    rng = np.random.default_rng(0)
+    return rng.uniform(1, 4, n) * np.exp(2j * np.pi * rng.random(n))
+
+
+def depth_one_tree_transfer(sg, phi, zs, at_inf):
+    # T phi at each point as its depth-1 tree weighs it: the atoms' masses
+    # times phi, summed from 0.0 in branch order
+    out = []
+    for z, inf in zip(zs.tolist(), at_inf.tolist()):
+        level = full_backward_tree(sg, INF if inf else z, 1, check_start=False)
+        t = 0.0
+        for mass, value in zip(level.masses.tolist(), phi(level.zs, level.at_inf).tolist()):
+            t += mass * value
+        out.append(t)
+    return np.array(out)
+
+
+def mixed_level():
+    # INF, a point past the closed form's plain_fibres bound, and ordinary points
+    huge = 1e200 - 3e199j
+    assert not plain_fibres(annulus_sg().generators, abs(huge.real))
+    zs = np.concatenate([[0j, huge, 0.25 + 0j], annulus_points(20)])
+    return zs, np.arange(zs.size) == 0
+
+
+@pytest.mark.parametrize(
+    "sg, level",
+    [
+        (annulus_sg(), lambda: (annulus_points(), np.zeros(200, dtype=bool))),
+        # a guard: these rows take preimages_batch in the tree as well
+        (cubic_rational_sg(), lambda: (annulus_points(), np.zeros(200, dtype=bool))),
+        (annulus_sg(), mixed_level),
+    ],
+    ids=["annulus", "cubic-rational", "annulus-inf-and-huge"],
+)
+@pytest.mark.parametrize("phi", [sphere_re, sphere_im], ids=["re", "im"])
+def test_transfer_operator_is_a_depth_one_tree_bit_for_bit(sg, level, phi):
+    zs, at_inf = level()
+    got = apply_transfer_operator(sg, phi, zs, at_inf)
+    assert got.tobytes() == depth_one_tree_transfer(sg, phi, zs, at_inf).tobytes()
+
+
+@pytest.mark.parametrize("bad", [complex(math.nan, 0), complex(math.inf, 0)], ids=["nan", "inf"])
+@pytest.mark.parametrize(
+    "sg", [square_sg(), Semigroup((rational_map([0.3, 0, 0, 1]),))], ids=["z^2", "z^3+0.3"]
+)
+def test_transfer_operator_refuses_a_non_finite_point_not_at_infinity(sg, bad):
+    zs = np.array([0.5 + 0.5j, bad])
+    with pytest.raises(ValueError, match="finite"):
+        apply_transfer_operator(sg, sphere_re, zs, np.zeros(2, dtype=bool))
+    # the same entry is only a placeholder where the point is at infinity
+    assert np.isfinite(apply_transfer_operator(sg, sphere_re, zs, np.array([False, True]))).all()
+
+
+@pytest.mark.parametrize(
+    "zs, at_inf",
+    [([1 + 0j, 2j], [False]), ([1 + 0j], [False, False]), ([[1 + 0j]], [[False]]), (1 + 0j, False)],
+    ids=["more-points", "more-flags", "two-dimensional", "scalar"],
+)
+def test_transfer_operator_refuses_point_arrays_of_other_shapes(zs, at_inf):
+    with pytest.raises(ValueError, match="at-infinity mask"):
+        apply_transfer_operator(square_sg(), sphere_re, zs, at_inf)
+
+
 def test_invariance_of_regular_polygon():
     pts = [cmath.exp(2j * math.pi * k / 360) for k in range(360)]
     polygon = cloud(pts)
@@ -413,6 +487,13 @@ def test_invariance_refuses_a_subsample_below_one_atom(max_atoms):
         check_invariance(
             square_sg(), c, [("re", re_part)], make_rng(4), max_atoms=max_atoms
         )
+
+
+@pytest.mark.parametrize("max_atoms", [200_000, 2], ids=["whole", "subsampled"])
+def test_invariance_refuses_a_cloud_of_zero_total_mass(max_atoms):
+    c = cloud([1 + 0j, -1 + 0j, 1j], [0.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="zero total mass"):
+        check_invariance(square_sg(), c, [("re", re_part)], make_rng(4), max_atoms=max_atoms)
 
 
 def test_default_test_functions_are_total():
