@@ -343,9 +343,9 @@ def _transfer(
 def apply_transfer_operator(
     sg: Semigroup, phi: TestFunction, zs: np.ndarray, at_inf: np.ndarray
 ) -> np.ndarray:
-    """(T phi)(z) at every point, given as a cloud's points are: the weighted
-    average of phi over all d preimages of z, branch i weighted by b_j / d_j,
-    in the branch order and with the weights of a level of the full tree."""
+    """(T phi)(z) at every point (points checked as a cloud's are): the
+    weighted average of phi over all d preimages of z, branch i weighted by
+    b_j / d_j, in the branch order and with the weights of a tree level."""
     return _transfer(sg, [phi], *point_arrays(zs, at_inf))[0]
 
 

@@ -62,9 +62,8 @@ def to_arrays(points: Sequence[SpherePoint]) -> tuple[np.ndarray, np.ndarray]:
 
 
 def point_arrays(zs, at_inf) -> tuple[np.ndarray, np.ndarray]:
-    """``(zs, at_inf)`` as the arrays of :func:`to_arrays`, refused unless
-    both are one-dimensional of one shape and every point not marked at
-    infinity is finite."""
+    """``(zs, at_inf)`` as arrays, refused unless both are 1-D of one shape
+    and every point not marked at infinity is finite."""
     zs = np.asarray(zs, dtype=complex)
     at_inf = np.asarray(at_inf, dtype=bool)
     if zs.ndim != 1 or at_inf.shape != zs.shape:
