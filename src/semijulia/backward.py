@@ -67,7 +67,9 @@ class _PointArrays:
 @dataclass(eq=False)
 class WeightedPointCloud(_PointArrays):
     """Finite atomic measure: atom k is point k with the nonnegative mass
-    ``masses[k]``."""
+    ``masses[k]``.  ``masses`` may be a read-only view: a cloud of equal
+    masses (a chain's) holds one value repeated with stride 0, so nothing
+    may write into it."""
 
     zs: np.ndarray
     at_inf: np.ndarray
@@ -344,7 +346,7 @@ def empirical_measure(orbit: BackwardOrbit, burn_in: int) -> WeightedPointCloud:
         raise EmptyTail(f"burn_in {burn_in} >= orbit length {n}")
     tail = n - burn_in
     return WeightedPointCloud(
-        orbit.zs[burn_in:], orbit.at_inf[burn_in:], np.full(tail, 1.0 / tail)
+        orbit.zs[burn_in:], orbit.at_inf[burn_in:], np.broadcast_to(1.0 / tail, (tail,))
     )
 
 
@@ -396,6 +398,7 @@ def run_chains(
         at_inf[k] = orbit.at_inf[burn_in:]
 
     run_tasks(n_chains, run_chain)
-    # each chain's empirical_measure masses, divided by the number of chains
-    masses = np.full(n_chains * tail, (1.0 / tail) / n_chains)
+    # each chain's empirical_measure masses, divided by the number of chains,
+    # as one read-only value repeated (a zero-stride view, no array)
+    masses = np.broadcast_to((1.0 / tail) / n_chains, (n_chains * tail,))
     return WeightedPointCloud(zs.reshape(-1), at_inf.reshape(-1), masses)

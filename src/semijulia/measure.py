@@ -45,6 +45,7 @@ __all__ = [
     "default_test_functions",
     "grid_to_text",
     "grid_from_text",
+    "row_bands",
 ]
 
 
@@ -137,14 +138,28 @@ class GridMeasure:
         return float(self.cells.sum()) + self.outside_mass
 
 
+# Atoms, or grid cells, per block of a pass over a whole cloud or grid:
+# bin_cloud, the invariance check's subsample cdf, and the row bands of
+# grid_to_text and render_density hold temporaries of this size, not of the
+# cloud's or the grid's.
+_BLOCK = 2**16
+
+
+def row_bands(vp: Viewport) -> list[slice]:
+    """The grid's rows cut into bands of about :data:`_BLOCK` cells (at least
+    one row each), top to bottom."""
+    rows = max(1, _BLOCK // vp.nx)
+    return [slice(r, min(r + rows, vp.ny)) for r in range(0, vp.ny, rows)]
+
+
 def _bin_into(
     cells: np.ndarray, zs: np.ndarray, at_inf: np.ndarray, masses: np.ndarray, vp: Viewport
-) -> float:
-    """Add one block of atoms into ``cells`` in place and return the block's
-    overflow mass: each atom's mass is added to the cell containing its
-    point, in atom order; atoms outside the viewport or at infinity feed the
-    overflow.  ``cells`` must be C-contiguous, so that its flat view is no
-    copy.
+) -> np.ndarray:
+    """Add one block of atoms into ``cells`` in place and return the masses
+    of the block's overflow atoms, in atom order: each atom's mass is added
+    to the cell containing its point, in atom order; atoms outside the
+    viewport or at infinity feed the overflow.  ``cells`` must be
+    C-contiguous, so that its flat view is no copy.
 
     The flat cell index is built in place over all atoms.  An outside atom
     gets index 0 and weight 0.0: adding +0.0 to a nonnegative partial sum
@@ -164,16 +179,25 @@ def _bin_into(
     np.copyto(flat, 0.0, where=outside)
     weights = np.multiply(masses, ~outside, out=colf)
     np.add.at(cells.reshape(-1), flat.astype(np.int64), weights)
-    return float(masses[outside].sum())
+    return masses[outside]
 
 
 def bin_cloud(cloud: WeightedPointCloud, vp: Viewport) -> GridMeasure:
     """Accumulate each atom's mass into the cell containing its point, in
     atom order from 0.0; atoms outside the viewport or at infinity feed the
-    overflow slot."""
+    overflow slot.  The cloud is walked in blocks of :data:`_BLOCK` atoms,
+    and the overflow is one sum over all outside masses in atom order, so
+    the grid does not depend on the block size."""
     cells = np.zeros((vp.ny, vp.nx))
-    outside = _bin_into(cells, cloud.zs, cloud.at_inf, cloud.masses, vp)
-    return GridMeasure(viewport=vp, cells=cells, outside_mass=outside)
+    outside = [np.zeros(0)]  # an empty cloud has no block
+    for s in range(0, len(cloud), _BLOCK):
+        block = slice(s, s + _BLOCK)
+        outside.append(
+            _bin_into(cells, cloud.zs[block], cloud.at_inf[block], cloud.masses[block], vp)
+        )
+    return GridMeasure(
+        viewport=vp, cells=cells, outside_mass=float(np.concatenate(outside).sum())
+    )
 
 
 def full_tree_grid(
@@ -209,7 +233,7 @@ def full_tree_grid(
     def bin_subtree(k: int) -> None:
         outside = 0.0
         for zs, at_inf, masses in subtree_blocks(sg, subtrees[k]):
-            outside += _bin_into(slot_cells[k], zs, at_inf, masses, vp)
+            outside += float(_bin_into(slot_cells[k], zs, at_inf, masses, vp).sum())
             # drop the block before the walker expands the next one
             del zs, at_inf, masses
         slot_outside[k] = outside
@@ -406,6 +430,45 @@ def default_test_functions() -> list[tuple[str, TestFunction]]:
     return out
 
 
+def _mass_weighted_draw(
+    masses: np.ndarray, total: float, k: int, rng: np.random.Generator
+) -> np.ndarray:
+    """``rng.choice(masses.size, k, p=masses / total)``'s indices, from the
+    same draws, with the cdf built in blocks of :data:`_BLOCK` atoms.
+
+    np.cumsum adds in order, so pass 1 carries the running sum into each
+    block as a prepended element and keeps only the carries; pass 2 rebuilds
+    each block the same way, divides it by the last value (choice's
+    normalization) and searches the sorted draws that fall in it.  A draw
+    below the block's last value falls in it; each block's draws come after
+    every earlier block, so its index is the block start plus its count."""
+    n = masses.size
+    starts = range(0, n, _BLOCK)
+
+    def cdf_block(s: int, carry: float) -> np.ndarray:
+        block = np.empty(min(_BLOCK, n - s) + 1)
+        block[0] = carry
+        np.divide(masses[s : s + _BLOCK], total, out=block[1:])
+        return np.cumsum(block, out=block)[1:]
+
+    carries = [0.0]
+    for s in starts:
+        carries.append(float(cdf_block(s, carries[-1])[-1]))
+    last = carries.pop()
+    u = rng.random(k)
+    order = u.argsort()
+    u.sort()
+    idx = np.empty_like(order)
+    j = 0
+    for s, carry in zip(starts, carries):
+        cdf = cdf_block(s, carry)
+        cdf /= last
+        stop = k if s + _BLOCK >= n else int(u.searchsorted(cdf[-1], side="left"))
+        idx[order[j:stop]] = s + cdf.searchsorted(u[j:stop], side="right")
+        j = stop
+    return idx
+
+
 def check_invariance(
     sg: Semigroup,
     cloud: WeightedPointCloud,
@@ -427,25 +490,19 @@ def check_invariance(
     n = len(cloud)
     if n == 0:
         raise EmptySet("cannot check invariance of an empty cloud")
-    total = cloud.total_mass
+    # a sum past the largest double is inf, and every value would read 0.0
+    with np.errstate(over="ignore"):
+        total = cloud.total_mass
     if total == 0:
         raise ValueError("cannot check invariance of a cloud of zero total mass")
+    if not math.isfinite(total):
+        raise ValueError("cannot check invariance of a cloud whose total mass overflows a double")
     zs, at_inf = cloud.zs, cloud.at_inf
     if rng is not None and n > max_atoms:
-        # rng.choice(n, max_atoms, p=masses / total)'s indices from the same
-        # draws, searched in sorted order so that the cdf is swept once; the
-        # temporaries go before the blocks below, which reuse their memory
-        cdf = cloud.masses / total
-        np.cumsum(cdf, out=cdf)
-        cdf /= cdf[-1]
-        u = rng.random(max_atoms)
-        order = u.argsort()
-        u.sort()
-        idx = np.empty_like(order)
-        idx[order] = cdf.searchsorted(u, side="right")
-        del cdf, u, order
+        idx = _mass_weighted_draw(cloud.masses, total, max_atoms, rng)
         zs, at_inf = zs[idx], at_inf[idx]
-        weights = np.full(max_atoms, total / max_atoms)
+        del idx
+        weights = np.broadcast_to(total / max_atoms, (max_atoms,))
     else:
         weights = cloud.masses
     fns = [phi for _, phi in phis]
@@ -485,12 +542,14 @@ def grid_to_text(g: GridMeasure) -> str:
         f"resolution {vp.nx} {vp.ny}",
         f"outside {float(g.outside_mass)!r}",
     ]
-    # a grid holds few distinct values: each is formatted once, keyed by its
-    # 64-bit pattern so that -0.0 and every NaN keep their own repr
-    cells = np.ascontiguousarray(g.cells, dtype=float)
-    keys, which = np.unique(cells.view(np.uint64), return_inverse=True)
-    texts = np.array([repr(v) for v in keys.view(float).tolist()], dtype=object)
-    lines.extend(" ".join(row) for row in texts[which.reshape(cells.shape)].tolist())
+    # a grid holds few distinct values: each is formatted once per band of
+    # rows, keyed by its 64-bit pattern so that -0.0 and every NaN keep their
+    # own repr
+    for band in row_bands(vp):
+        cells = np.ascontiguousarray(g.cells[band], dtype=float)
+        keys, which = np.unique(cells.view(np.uint64), return_inverse=True)
+        texts = np.array([repr(v) for v in keys.view(float).tolist()], dtype=object)
+        lines.extend(" ".join(row) for row in texts[which.reshape(cells.shape)].tolist())
     lines.append("")
     return "\n".join(lines)
 

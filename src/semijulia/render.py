@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measure import GridMeasure, Viewport, ViewportMismatch
+from .measure import GridMeasure, Viewport, ViewportMismatch, row_bands
 
 __all__ = [
     "ImageSpec",
@@ -68,9 +68,9 @@ class ImageSpec:
             object.__setattr__(self, name, tuple(int(v) for v in rgb))
 
 
-def _ramp(cells: np.ndarray, scale: str) -> np.ndarray:
-    """Normalized monotone intensity in [0, 1]; all-zero grids stay zero."""
-    mmax = float(cells.max()) if cells.size else 0.0
+def _ramp(cells: np.ndarray, mmax: float, scale: str) -> np.ndarray:
+    """Normalized monotone intensity in [0, 1] against the grid's largest
+    cell mass ``mmax``; all-zero grids stay zero."""
     if mmax <= 0:
         return np.zeros_like(cells)
     t = cells / mmax
@@ -108,10 +108,15 @@ def render_density(g: GridMeasure, spec: ImageSpec) -> bytes:
         raise ViewportMismatch(
             f"image spec viewport {spec.viewport} does not match grid {g.viewport}"
         )
-    t = _ramp(g.cells, spec.scale)
-    rgb = _apply_colormap(t, spec)
-    empty = g.cells <= 0
-    rgb[empty] = np.asarray(spec.background, dtype=np.uint8)
+    # the ramp's maximum is the whole grid's; each band of rows is then
+    # colored on its own, so the float temporaries are one band wide
+    cells = g.cells
+    mmax = float(cells.max())
+    rgb = np.empty(cells.shape + (3,), dtype=np.uint8)
+    background = np.asarray(spec.background, dtype=np.uint8)
+    for band in row_bands(g.viewport):
+        rgb[band] = _apply_colormap(_ramp(cells[band], mmax, spec.scale), spec)
+        rgb[band][cells[band] <= 0] = background
     return encode_ppm(g.viewport.nx, g.viewport.ny, rgb)
 
 

@@ -1,11 +1,13 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import semijulia.measure as measure
 from semijulia.backward import (
     WeightedPointCloud,
     full_backward_tree,
@@ -35,6 +37,7 @@ from semijulia.measure import (
     total_variation,
 )
 from semijulia.ratmap import SolverDivergence, plain_fibres, preimages, rational_map
+from semijulia.render import ImageSpec, render_density
 from semijulia.semigroup import ProbabilityVector, Semigroup, make_rng
 from semijulia.sphere import INF, chordal_distance, to_arrays
 
@@ -114,6 +117,57 @@ def test_bin_conserves_mass():
     cells = np.bincount(flat, weights=masses[inside], minlength=vp.ny * vp.nx)
     assert g.cells.tobytes() == cells.reshape(vp.ny, vp.nx).tobytes()
     assert np.float64(g.outside_mass).tobytes() == masses[~inside].sum().tobytes()
+
+
+# what an atom of the block-edge property is: a point inside the 4x4 window,
+# one anywhere in a window three times as wide, the point at infinity, or a
+# huge finite point (an infinite cell coordinate)
+block_atoms = st.tuples(
+    st.sampled_from(["inside", "around", "inf", "huge"]),
+    st.floats(-1.0, 1.0),
+    st.floats(-1.0, 1.0),
+    st.one_of(st.just(0.0), st.floats(1e-3, 10.0)),
+)
+
+
+def block_edge_cloud(atoms):
+    scale = {"inside": 2.0, "around": 6.0, "inf": 0.0, "huge": 0.0}
+    points = [
+        INF if kind == "inf" else 1e300 + 1e300j if kind == "huge"
+        else complex(x * scale[kind], y * scale[kind])
+        for kind, x, y, _ in atoms
+    ]
+    return cloud(points, [m for *_, m in atoms])
+
+
+def block_outputs(c, vp, block):
+    """bin_cloud, grid_to_text and render_density (both scales) with the
+    block constant set to ``block``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(measure, "_BLOCK", block)
+        g = bin_cloud(c, vp)
+        return (
+            g.cells.tobytes(),
+            g.outside_mass.hex(),
+            grid_to_text(g),
+            *(render_density(g, ImageSpec(vp, scale=scale)) for scale in ("linear", "log")),
+        )
+
+
+@given(
+    atoms=st.lists(block_atoms, max_size=300),
+    block=st.integers(1, 9),
+    nx=st.integers(1, 7),
+    ny=st.integers(1, 7),
+)
+def test_blocks_match_one_pass(atoms, block, nx, ny):
+    # bin_cloud in atom blocks, and grid_to_text and render_density in row
+    # bands, give the bits of one unblocked pass: non-dyadic masses, atoms
+    # outside or at infinity on either side of a block edge, a cloud and a
+    # grid that the block does not divide
+    c = block_edge_cloud(atoms)
+    vp = Viewport(center=0j, width=4.0, height=4.0, nx=nx, ny=ny)
+    assert block_outputs(c, vp, block) == block_outputs(c, vp, 2**62)
 
 
 def test_grid_validation():
@@ -454,18 +508,21 @@ def subsample_masses(kind, n):
         masses[rng.random(n) < 0.3] = 0.0
         masses[0] = masses[-1] = 0.0  # none at either end of the cdf
         masses[n // 2] = 0.5
+        # none on either side of each edge between two blocks of the cdf
+        for edge in range(measure._BLOCK, n, measure._BLOCK):
+            masses[edge - 3 : edge + 3] = 0.0
     return masses
 
 
 @pytest.mark.parametrize("kind", ["uniform", "non-uniform", "some zero"])
-@pytest.mark.parametrize("n, size", [(5, 4), (1000, 77), (1000, 999), (60_000, 20_000)])
+@pytest.mark.parametrize(
+    "n, size", [(5, 4), (1000, 77), (1000, 999), (60_000, 20_000), (200_003, 20_000)]
+)
 @pytest.mark.parametrize("seed", [0, 4, 2**40 + 1])
 def test_invariance_subsample_draws_the_atoms_rng_choice_draws(monkeypatch, kind, n, size, seed):
     # the subsample is rng.choice(n, size, p=masses / total), same indices in
     # the same order, drawn from the same stream: a numpy whose choice draws
-    # differently fails here
-    import semijulia.measure as measure
-
+    # differently fails here; 200,003 atoms span four blocks of the cdf
     masses = subsample_masses(kind, n)
     c = WeightedPointCloud(np.arange(n, dtype=complex), np.zeros(n, dtype=bool), masses)
     seen, real = [], measure._transfer
@@ -494,6 +551,16 @@ def test_invariance_refuses_a_cloud_of_zero_total_mass(max_atoms):
     c = cloud([1 + 0j, -1 + 0j, 1j], [0.0, 0.0, 0.0])
     with pytest.raises(ValueError, match="zero total mass"):
         check_invariance(square_sg(), c, [("re", re_part)], make_rng(4), max_atoms=max_atoms)
+
+
+@pytest.mark.parametrize("max_atoms", [200_000, 1], ids=["whole", "subsampled"])
+def test_invariance_refuses_a_cloud_whose_total_mass_overflows(max_atoms):
+    # the total is inf, and every value would read 0.0: abs(v) / inf
+    c = cloud([1 + 0j, 1j], [1e308, 1e308])
+    with pytest.raises(ValueError, match="overflows a double"):
+        check_invariance(
+            square_sg(), c, default_test_functions(), make_rng(4), max_atoms=max_atoms
+        )
 
 
 def test_default_test_functions_are_total():
@@ -724,7 +791,6 @@ def test_full_tree_grid_reraises_worker_solver_divergence(cpus, monkeypatch, cir
     # two-sweep budget fails the first cubic fibre of every subtree (from the
     # circle start), inside its worker, and the parent sees the scalar call's
     # error
-    import semijulia.measure as measure
     import semijulia.ratmap as ratmap
 
     real, roots = measure.tree_subtrees, []
@@ -743,6 +809,55 @@ def test_full_tree_grid_reraises_worker_solver_divergence(cpus, monkeypatch, cir
     with pytest.raises(SolverDivergence) as scalar:
         preimages(sg.generators[0], roots[0])
     assert err.value.coeffs == scalar.value.coeffs
+
+
+# ---------------------------------------------------------------------------
+# memory: every pass over a cloud or a grid holds block-sized temporaries
+
+
+@pytest.mark.parametrize("log2_atoms", [18, 20])
+def test_peak_memory_is_bounded_by_the_block(log2_atoms):
+    # tracemalloc counts numpy's allocations.  Each bound is the call's own
+    # output plus a few float blocks, the same for 2^18 and 2^20 atoms; one
+    # pass over the whole cloud or the 512^2 grid needs more
+    n = 2**log2_atoms
+    rng = np.random.default_rng(log2_atoms)
+    zs = np.sqrt(rng.uniform(1, 16, n)) * np.exp(2j * np.pi * rng.random(n))
+    c = WeightedPointCloud(zs, np.zeros(n, dtype=bool), np.broadcast_to(1.0 / n, (n,)))
+    vp = Viewport(center=0j, width=9.0, height=9.0, nx=512, ny=512)
+    block = 8 * measure._BLOCK  # bytes of one block of floats
+    cells = vp.nx * vp.ny
+    peaks = {}
+
+    def peak(name, call):
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = call()
+        peaks[name] = tracemalloc.get_traced_memory()[1] - before
+        return out
+
+    tracemalloc.start()
+    try:
+        g = peak("bin_cloud", lambda: bin_cloud(c, vp))
+        peak(
+            "check_invariance",
+            lambda: check_invariance(
+                square_sg(), c, [("re", sphere_re)], make_rng(1), max_atoms=2**14
+            ),
+        )
+        text = peak("grid_to_text", lambda: grid_to_text(g))
+        peak("render_density", lambda: render_density(g, ImageSpec(vp)))
+    finally:
+        tracemalloc.stop()
+    bounds = {
+        "bin_cloud": 8 * cells + 4 * block,  # the grid
+        "check_invariance": 6 * block,
+        "grid_to_text": 2 * len(text) + 2 * block,  # its lines, then the text
+        "render_density": 3 * 3 * cells + 8 * block,  # pixels, their bytes, the PPM
+    }
+    assert g.total_mass == pytest.approx(1.0)
+    for name, bound in bounds.items():
+        assert peaks[name] <= bound, (name, peaks[name], bound)
 
 
 # ---------------------------------------------------------------------------
@@ -787,6 +902,20 @@ def test_grid_text_formats_every_bit_pattern_like_its_value():
     g = GridMeasure(viewport=vp, cells=values.reshape(100, 103), outside_mass=0.0)
     lines = grid_to_text(g).split("\n")
     assert lines[5:] == [*per_value_text(g), ""]
+
+
+@pytest.mark.parametrize("block", [1, 103, 250, 103 * 7 + 5])
+def test_grid_text_in_row_bands_matches_one_pass(monkeypatch, block):
+    # bands of 1, 1, 2 and 7 rows over 100 rows of 103 cells: each band
+    # formats its own distinct values, the text is that of one pass
+    rng = np.random.default_rng(4)
+    values = np.concatenate([[0.0, -0.0, np.nan, math.inf], rng.random(300)])
+    vp = Viewport(center=0j, width=4.0, height=4.0, nx=103, ny=100)
+    g = GridMeasure(viewport=vp, cells=rng.choice(values, (100, 103)), outside_mass=0.25)
+    whole = grid_to_text(g)
+    monkeypatch.setattr(measure, "_BLOCK", block)
+    assert grid_to_text(g) == whole
+    assert whole.split("\n")[5:] == [*per_value_text(g), ""]
 
 
 def test_grid_from_text_rejects_garbage():

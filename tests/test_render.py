@@ -102,6 +102,30 @@ def test_rendering_is_deterministic():
     assert render_density(g, spec) == render_density(g, spec)
 
 
+@pytest.mark.parametrize("scale", ["linear", "log"])
+@pytest.mark.parametrize("kind", ["random", "sparse", "all zero"])
+def test_row_bands_match_one_pass(monkeypatch, kind, scale):
+    # 23 rows of 10 cells in bands of 3 rows (the last one of 2): each band
+    # is colored against the whole grid's maximum, and the image is that of
+    # one pass; "sparse" puts the maximum in the last band only
+    import semijulia.measure as measure
+
+    rng = np.random.default_rng(6)
+    cells = {
+        "random": rng.uniform(0, 1, (23, 10)),
+        "sparse": np.where(rng.random((23, 10)) < 0.2, rng.uniform(0, 1e-3, (23, 10)), 0.0),
+        "all zero": np.zeros((23, 10)),
+    }[kind]
+    if kind == "sparse":
+        cells[22, 9] = 1.0
+    g = grid_with(cells)
+    spec = ImageSpec(viewport=g.viewport, colormap="fire", scale=scale, background=(7, 11, 13))
+    whole = render_density(g, spec)
+    monkeypatch.setattr(measure, "_BLOCK", 35)
+    assert measure.row_bands(g.viewport)[-1] == slice(21, 23)
+    assert render_density(g, spec) == whole
+
+
 @pytest.mark.parametrize("name", sorted(COLORMAPS))
 @pytest.mark.parametrize("scale", ["linear", "log"])
 def test_monotone_mass_to_luminance(name, scale):
