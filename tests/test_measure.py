@@ -131,10 +131,9 @@ block_atoms = st.tuples(
 
 
 def block_edge_cloud(atoms):
-    scale = {"inside": 2.0, "around": 6.0, "inf": 0.0, "huge": 0.0}
     points = [
         INF if kind == "inf" else 1e300 + 1e300j if kind == "huge"
-        else complex(x * scale[kind], y * scale[kind])
+        else complex(x, y) * (2.0 if kind == "inside" else 6.0)
         for kind, x, y, _ in atoms
     ]
     return cloud(points, [m for *_, m in atoms])
