@@ -18,7 +18,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .ratmap import plain_fibres, preimage_walk, preimages_batch
+from .ratmap import preimage_walk, preimages_batch, quadratic_level
 from .semigroup import (
     Semigroup,
     build_index_distribution,
@@ -113,55 +113,6 @@ class BackwardOrbit(_PointArrays):
 # full backward tree
 
 
-def _expand_level_fast(sg: Semigroup, zs: np.ndarray) -> np.ndarray:
-    """One tree level for polynomial generators of degree 2, vectorized in
-    numpy's complex arithmetic (for its speed see ROADMAP.md, open item 8),
-    branch-major as in :func:`expand_level`.
-
-    Row order matches the scalar branch labelling: per generator, roots
-    sorted by (real, imag).  The roots are not bitwise those of
-    :func:`preimages_batch`: on 100,000 points drawn uniformly in modulus
-    from the annulus 1 <= |z| <= 4 under (z^2, z^2/4), 44,077 points differ,
-    each root by at most 2.2e-16 relative, in the same branch order.
-
-    The arithmetic runs in place where it can: the closed form's operations
-    in its order, on two complex temporaries per generator where the formula
-    as written makes over a dozen, since every fresh temporary as wide as a
-    level costs page faults.
-    """
-    kids = np.empty((sg.total_degree, zs.size), dtype=complex)
-    row = 0
-    for g in sg.generators:
-        num = g.numerator.coeffs
-        c0 = np.multiply(zs, g.denominator.coeffs[0])
-        np.subtract(num[0], c0, out=c0)
-        b, a = num[1], num[2]
-        s = np.multiply(4.0 * a, c0)
-        np.subtract(b * b, s, out=s)
-        np.sqrt(s, out=s)
-        flip = b.real * s.real
-        flip += b.imag * s.imag
-        np.negative(s, out=s, where=flip < 0)
-        q = np.add(b, s, out=s)
-        np.multiply(-0.5, q, out=q)
-        lo, hi = kids[row], kids[row + 1]
-        r1 = np.divide(q, a, out=lo)  # lo holds r1 until the sort below
-        # rows with c0 = 0 (where q may be 0 too) skip c0 / q and take the
-        # c0 = 0 rule instead
-        nonzero_c = c0 != 0
-        r2 = np.divide(c0, q, out=q, where=nonzero_c)
-        if not nonzero_c.all():
-            r1[~nonzero_c] = 0.0
-            r2[~nonzero_c] = -b / a
-        # sort each pair by (real, imag) in place
-        swap = (r2.real < r1.real) | ((r2.real == r1.real) & (r2.imag < r1.imag))
-        np.copyto(hi, r2)
-        np.copyto(hi, r1, where=swap)
-        np.copyto(lo, r2, where=swap)
-        row += 2
-    return kids
-
-
 def expand_level(
     sg: Semigroup, zs: np.ndarray, at_inf: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -170,40 +121,20 @@ def expand_level(
     Branch i is (j, r) = ``build_index_distribution(sg).decode[i]``, root r
     of generator j; the tree and the transfer operator weight it b_j / d_j.
 
-    Under polynomials of degree 2, a finite point takes
-    :func:`_expand_level_fast` where :func:`plain_fibres` proves that its
-    fibres need no rescale or degree-drop rule, which that closed form lacks,
-    and every other point :func:`preimages_batch`.  The bound is tried on the
-    level's largest |part| first, and point by point only where that fails or
-    a point is at infinity, so a point's preimages do not depend on the other
-    points of its level.  Only a zero q in the closed form (an underflowed
-    b*b - 4ac, which :func:`preimages_batch` rescales) sends the whole level
-    to :func:`preimages_batch`; no probe has shown that moving any bits."""
-    gens, fast = sg.generators, np.zeros(zs.shape, dtype=bool)
+    Under polynomials of degree 2, a finite point takes the closed form of
+    :func:`quadratic_level` where that marks it done, and every other point
+    :func:`preimages_batch`; both decide each point alone, so a point's
+    preimages do not depend on the other points of its level."""
+    gens = sg.generators
     if all(g.denominator.degree == 0 and g.degree == 2 for g in gens):
-        parts = np.ascontiguousarray(zs).view(float)
-        m = max(-parts.min(initial=0.0), parts.max(initial=0.0))
-        level = not at_inf.any() and plain_fibres(gens, m)
-        if not level:
-            # the zs entry of a point at infinity is ignored: it may be inf
-            m = np.where(at_inf, 0.0, np.maximum(abs(zs.real), abs(zs.imag)))
-            fast = ~at_inf & plain_fibres(gens, m)
-        try:
-            with np.errstate(divide="raise"):
-                closed = _expand_level_fast(sg, zs if level else zs[fast])
-        except FloatingPointError:  # c0 / q with q = 0: b*b - 4ac underflowed
-            fast[:] = False
-        else:
-            if level:
-                return closed, np.zeros(closed.shape, dtype=bool)
-    rest = ~fast
-    fibres = [preimages_batch(g, zs[rest], at_inf[rest]) for g in gens]
-    roots, inf = (np.hstack(parts).T for parts in zip(*fibres))
-    if not fast.any():
-        return roots, inf
-    kids = np.empty((sg.total_degree, zs.size), dtype=complex)
+        kids, done = quadratic_level(gens, zs)
+        rest = ~done | at_inf
+    else:
+        kids, rest = np.empty((sg.total_degree, zs.size), dtype=complex), np.ones(zs.shape, dtype=bool)
     kids_inf = np.zeros(kids.shape, dtype=bool)
-    kids[:, fast], kids[:, rest], kids_inf[:, rest] = closed, roots, inf
+    if rest.any():
+        fibres = [preimages_batch(g, zs[rest], at_inf[rest]) for g in gens]
+        kids[:, rest], kids_inf[:, rest] = (np.hstack(parts).T for parts in zip(*fibres))
     return kids, kids_inf
 
 

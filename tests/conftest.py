@@ -11,8 +11,9 @@ settings.register_profile(
 )
 # the same with 2,000 examples, for one property at a time: CI runs the chain
 # walker's two properties (random quadratics, random polynomials), the random
-# cubics' property, the batch rows' property and the block-edge property under
-# it (pytest --hypothesis-profile thorough ...)
+# cubics' property, the batch rows' property, the block-edge property and the
+# tree level's per-point property under it (pytest --hypothesis-profile
+# thorough ...)
 settings.register_profile("thorough", settings.get_profile("semijulia"), max_examples=2000)
 settings.load_profile("semijulia")
 

@@ -1,13 +1,15 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from semijulia.backward import (
     BackwardOrbit,
     EmptyTail,
     WeightedPointCloud,
-    _expand_level_fast,
     empirical_measure,
     expand_level,
     full_backward_tree,
@@ -23,6 +25,7 @@ from semijulia.ratmap import (
     evaluate,
     preimages,
     preimages_batch,
+    quadratic_level,
     rational_map,
 )
 from semijulia.semigroup import (
@@ -151,9 +154,9 @@ def test_scalar_and_vectorized_expansion_agree():
     sg = annulus_sg()
     d = sg.total_degree
     pts = [1 + 0j, 0.5 - 0.25j, -2 + 1j, 0.01 + 3j]
-    fast = _expand_level_fast(sg, np.asarray(pts, dtype=complex))  # branch-major
+    fast, done = quadratic_level(sg.generators, np.asarray(pts, dtype=complex))  # branch-major
     slow = scalar_level(sg, pts)
-    assert fast.shape == (d, len(pts))
+    assert fast.shape == (d, len(pts)) and done.all()
     for k in range(len(pts)):
         assert_multisets_close(fast[:, k].tolist(), slow[k * d : (k + 1) * d])
 
@@ -178,7 +181,7 @@ def test_tree_equals_scalar_level_oracle(second):
 
 
 def test_tree_of_a_map_that_needs_the_rescale_is_the_batch_tree():
-    # 1e-200 z^2 over 1e-200: unscaled, the closed form of _expand_level_fast
+    # 1e-200 z^2 over 1e-200: unscaled, the closed form of quadratic_level
     # gives -inf+nanj and 0 with a RuntimeWarning (an error in this suite),
     # where preimages rescales the fibre and gives -1 and 1; the next level
     # meets degree drops
@@ -192,34 +195,137 @@ def test_tree_of_a_map_that_needs_the_rescale_is_the_batch_tree():
 
 
 def test_level_whose_closed_form_meets_a_zero_q_is_the_batch_level(monkeypatch):
-    # 2^-500 z^2 at 1e-200: the fibre passes plain_fibres, but b = 0 and 4ac
-    # underflows, so the closed form meets q = 0 and hands the level to
-    # preimages_batch, which rescales; unmended, c / q divides by zero
+    # 2^-500 z^2 at 1e-200: the fibre passes the closed form's range test,
+    # but b = 0 and 4ac underflows, so the closed form meets q = 0 and leaves
+    # the point to preimages_batch, which rescales; unmended, c / q divides
+    # by zero
     import semijulia.backward as backward
 
     f = rational_map([0, 0, 2.0**-500])
-    tried, real = [], backward._expand_level_fast
-    monkeypatch.setattr(backward, "_expand_level_fast", lambda sg, zs: tried.append(1) or real(sg, zs))
+    tried, real = [], backward.quadratic_level
+    monkeypatch.setattr(
+        backward, "quadratic_level", lambda maps, zs: tried.append(real(maps, zs)[1]) or real(maps, zs)
+    )
     zs, at_inf = np.array([1e-200 + 0j]), np.zeros(1, dtype=bool)
     kids, kids_inf = expand_level(Semigroup((f,)), zs, at_inf)
     roots, inf = preimages_batch(f, zs, at_inf)
-    assert tried == [1]
+    assert [done.tolist() for done in tried] == [[False]]
     assert repr(kids.T.tolist()) == repr(roots.tolist())
     assert (kids_inf.T == inf).all()
     assert repr(roots.tolist()) == "[[(-1.8092513943330656e-25+0j), (1.8092513943330656e-25-0j)]]"
 
 
 def test_annulus_levels_take_the_closed_form(monkeypatch):
-    # the bound that routes a level to the batch path lets every annulus
-    # level through, so annulus trees keep their bytes
+    # the closed form finishes every point of every annulus level, so
+    # annulus trees keep their bytes
     import semijulia.backward as backward
 
-    sizes, real = [], backward._expand_level_fast
-    monkeypatch.setattr(
-        backward, "_expand_level_fast", lambda sg, zs: sizes.append(zs.size) or real(sg, zs)
-    )
+    levels, real = [], backward.quadratic_level
+
+    def spy(maps, zs):
+        kids, done = real(maps, zs)
+        levels.append((zs.size, bool(done.all())))
+        return kids, done
+
+    monkeypatch.setattr(backward, "quadratic_level", spy)
     full_backward_tree(annulus_sg(), 1, 6)
-    assert sizes == [4**k for k in range(6)]
+    assert levels == [(4**k, True) for k in range(6)]
+
+
+def test_a_point_has_the_same_children_in_any_level():
+    # under 2^-500 z^2, 1e-200 meets q = 0 in the closed form (4ac
+    # underflows); each point's children are its own children alone, not
+    # those of the batch path the zero q once sent its whole level to
+    # (887 of these 2,000 points moved)
+    sg = Semigroup((rational_map([0, 0, 2.0**-500]),))
+    rng = np.random.default_rng(0)
+    pts = rng.uniform(-1e-150, 1e-150, 2000) + 1j * rng.uniform(-1e-150, 1e-150, 2000)
+    zs = np.append(pts, 1e-200)
+    kids, kids_inf = expand_level(sg, zs, np.zeros(zs.size, dtype=bool))
+    assert not kids_inf.any()
+    moved = 0
+    for k, z in enumerate(zs):
+        alone, alone_inf = expand_level(sg, zs[k : k + 1], np.zeros(1, dtype=bool))
+        moved += alone.tobytes() != kids[:, k].tobytes() or alone_inf.any()
+    assert moved == 0
+
+
+@pytest.mark.parametrize("depth", [2, 3])
+def test_tree_atoms_of_a_level_that_meets_a_zero_q_are_the_tree_atoms(depth):
+    # from 1e-200 the first map's fibre meets q = 0 in the closed form; the
+    # words below the third map's branches, walked by tree_atoms without
+    # that point in their level, are the same bytes as in the tree (2 of 12
+    # and 6 of 72 differed while a zero q sent its whole level to the batch
+    # path)
+    sg = Semigroup(tuple(rational_map([0, 0, a]) for a in (2.0**-500, 2.0**499, 1e100)))
+    tree = full_backward_tree(sg, 1e-200, depth, check_start=False)
+    idx = np.arange(4 * 6 ** (depth - 1), 6**depth)
+    zs, at_inf = tree_atoms(sg, 1e-200, depth, idx)
+    assert zs.tobytes() == tree.zs[idx].tobytes()
+    assert at_inf.tobytes() == tree.at_inf[idx].tobytes()
+
+
+def scaled(lo, hi):
+    """Complex numbers whose parts are 0 or of modulus about 10^lo .. 10^hi."""
+    part = st.one_of(
+        st.just(0.0),
+        st.builds(lambda m, e: m * 10.0**e, st.floats(-9.99, 9.99), st.integers(lo, hi)),
+    )
+    return st.builds(complex, part, part)
+
+
+QUADRATIC = st.one_of(
+    st.tuples(scaled(-320, 300), st.one_of(st.just(0j), scaled(-320, 300)), scaled(-320, 300)),
+    # constants that break the fibre range on their own, or sit at its ends
+    st.sampled_from([(0j, 1e10, 1e-20), (0j, 0j, 2.0**-500), (1 + 0j, 0j, 2.0**499), (0j, 0j, 1e100)]),
+).filter(lambda nba: nba[2] != 0)
+
+
+@st.composite
+def mixed_levels(draw):
+    """Degree-2 polynomial generators (numerator n0 + b z + a z^2 over a
+    constant d0) and a level that mixes INF, points with c0 = 0 under one
+    map, points tiny enough that 4 a c0 underflows, points past the fibre
+    range and ordinary points."""
+    maps = []
+    for n0, b, a in draw(st.lists(QUADRATIC, min_size=1, max_size=3)):
+        d0 = draw(st.one_of(st.just(1 + 0j), scaled(-20, 20).filter(lambda d: d != 0)))
+        maps.append((n0, b, a, d0))
+    kinds = st.sampled_from(["inf", "c0 = 0", "tiny", "huge", "ordinary"])
+    zs, at_inf = [], []
+    for kind in draw(st.lists(kinds, min_size=1, max_size=8)):
+        if kind == "inf":  # its zs entry is ignored, and may be non-finite
+            z = draw(st.sampled_from([0j, complex(math.inf, 0), 3 + 4j]))
+        elif kind == "c0 = 0":
+            n0, _, _, d0 = draw(st.sampled_from(maps))
+            z = n0 / d0
+        else:
+            z = draw(scaled(*{"tiny": (-320, -150), "huge": (150, 307), "ordinary": (-3, 3)}[kind]))
+        zs.append(z)
+        at_inf.append(kind == "inf")
+    sg = Semigroup(tuple(rational_map([n0, b, a], [d0]) for n0, b, a, d0 in maps))
+    return sg, np.array(zs, dtype=complex), np.array(at_inf)
+
+
+@given(mixed_levels())
+# a zero q at 1e-200 once sent this level to the batch path, which moved the
+# other point's children
+@example(
+    (
+        Semigroup((rational_map([0, 0, 2.0**-500]),)),
+        np.array([1e-200, -9.669447289429418e-151 - 4.409791020005782e-151j]),
+        np.zeros(2, dtype=bool),
+    )
+)
+def test_each_point_has_its_children_alone_in_any_level(level):
+    # the rule of the tree's closed form is per point: a point's children do
+    # not depend on the other points of its level, bit for bit
+    sg, zs, at_inf = level
+    kids, kids_inf = expand_level(sg, zs, at_inf)
+    for k in range(zs.size):
+        alone, alone_inf = expand_level(sg, zs[k : k + 1], at_inf[k : k + 1])
+        assert alone.tobytes() == kids[:, k].tobytes(), k
+        assert alone_inf.tobytes() == kids_inf[:, k].tobytes(), k
 
 
 def test_scalar_path_used_for_rational_generators():
@@ -519,6 +625,12 @@ def test_empirical_measure_empty_tail():
         empirical_measure(orbit, 5)
 
 
+def test_empirical_measure_refuses_negative_burn_in():
+    orbit = random_backward_orbit(square_sg(), 1, 5, seed=1)
+    with pytest.raises(ValueError, match="burn_in"):
+        empirical_measure(orbit, -1)
+
+
 def test_run_chains_single_chain_degenerate_merge():
     sg = annulus_sg()
     merged = run_chains(sg, 1, 400, 1, burn_in=10, seeds=[17])
@@ -663,6 +775,22 @@ def test_cesaro_average_of_re_vanishes_on_circle():
     orbit = random_backward_orbit(square_sg(), 1, 1_000_000, seed=2024)
     avg = cesaro_average(orbit, lambda zs, at_inf: zs.real)
     assert abs(avg) <= 0.01
+
+
+@pytest.mark.parametrize("kind", ["tree", "orbit"])
+def test_points_list_matches_the_arrays(kind):
+    # the benchmark's predecessor check reads ``points``: INF exactly where
+    # at_inf is set, and to_arrays gives back the arrays' bytes
+    sg = inf_visiting_sg()
+    if kind == "tree":
+        a = full_backward_tree(sg, 1, 3, check_start=False)
+    else:
+        a = random_backward_orbit(sg, 1, 3000, seed=2, check_start=False)  # one INF
+    assert a.at_inf.any()
+    assert [p is INF for p in a.points] == a.at_inf.tolist()
+    zs, at_inf = to_arrays(a.points)
+    assert zs.tobytes() == a.zs.tobytes()
+    assert at_inf.tobytes() == a.at_inf.tobytes()
 
 
 def test_cloud_validation():

@@ -129,6 +129,49 @@ def test_parse_error_names_viewport_and_image_keys(field, value, match):
         parse_config(base_config(**{field: value}))
 
 
+@pytest.mark.parametrize(
+    "raw, match",
+    [
+        (["generators"], "config root must be an object"),
+        (base_config(generators={"numerator": [[0, 0], [0, 0], [1, 0]]}), "'generators'"),
+        (base_config(generators=[]), "'generators'"),
+        (base_config(generators=[{"denominator": [[1, 0]]}]), "'generators\\[0\\]'.*'numerator'"),
+        (
+            base_config(generators=[{"numerator": [[0, 0], [0, 0], [1, 0]], "denom": [[1, 0]]}]),
+            "'generators\\[0\\]'.*unknown keys",
+        ),
+        (base_config(generators=[{"numerator": []}]), "'generators\\[0\\].numerator'"),
+        (base_config(b=0.5), "'b'"),
+        (base_config(generators=[{"numerator": [[0, 0], [1, 0]]}]), "'generators'"),
+        (base_config(depth=-1), "'depth'"),
+        (base_config(chains=0), "'chains'"),
+        (base_config(seed=1.5), "'seed'"),
+        (base_config(out=""), "'out'"),
+        ({"method": "verify", "only": ["circle-decay", 5]}, "'only'"),
+        (base_config(viewport=[0, 0, 3, 3]), "'viewport'.*object"),
+    ],
+    ids=[
+        "root not an object",
+        "generators not a list",
+        "generators empty",
+        "generator without numerator",
+        "generator with an unknown key",
+        "numerator empty",
+        "b not a list",
+        "only degree-1 generators",
+        "depth -1",
+        "chains 0",
+        "seed not an integer",
+        "out empty",
+        "only not a list of strings",
+        "viewport not an object",
+    ],
+)
+def test_parse_error_names_the_field(raw, match):
+    with pytest.raises(ConfigError, match=match):
+        parse_config(raw)
+
+
 def test_parse_applies_given_keys_over_the_defaults():
     parsed = parse_config(base_config(viewport={"width": 9}, image={"scale": "linear"}))
     vp = parsed.viewport

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import semijulia.measure as measure
 from semijulia.backward import (
+    EmptyTail,
     WeightedPointCloud,
     full_backward_tree,
     random_backward_orbit,
@@ -36,7 +37,7 @@ from semijulia.measure import (
     sphere_re,
     total_variation,
 )
-from semijulia.ratmap import SolverDivergence, plain_fibres, preimages, rational_map
+from semijulia.ratmap import SolverDivergence, preimages, quadratic_level, rational_map
 from semijulia.render import ImageSpec, render_density
 from semijulia.semigroup import ProbabilityVector, Semigroup, make_rng
 from semijulia.sphere import INF, chordal_distance, to_arrays
@@ -425,9 +426,9 @@ def depth_one_tree_transfer(sg, phi, zs, at_inf):
 
 
 def mixed_level():
-    # INF, a point past the closed form's plain_fibres bound, and ordinary points
+    # INF, a point past the closed form's range test, and ordinary points
     huge = 1e200 - 3e199j
-    assert not plain_fibres(annulus_sg().generators, abs(huge.real))
+    assert not quadratic_level(annulus_sg().generators, np.array([huge]))[1].any()
     zs = np.concatenate([[0j, huge, 0.25 + 0j], annulus_points(20)])
     return zs, np.arange(zs.size) == 0
 
@@ -932,6 +933,13 @@ def test_cesaro_average_refuses_negative_burn_in():
     orbit = random_backward_orbit(square_sg(), 1, 50, seed=2)
     with pytest.raises(ValueError, match="burn_in"):
         cesaro_average(orbit, lambda zs, at_inf: zs.real, burn_in=-3)
+
+
+def test_cesaro_average_refuses_burn_in_past_the_orbit():
+    orbit = random_backward_orbit(square_sg(), 1, 50, seed=2)
+    for burn_in in (50, 51):
+        with pytest.raises(EmptyTail, match="burn_in"):
+            cesaro_average(orbit, lambda zs, at_inf: zs.real, burn_in=burn_in)
 
 
 def test_full_vs_random_agree_on_segment_measure():

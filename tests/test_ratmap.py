@@ -141,6 +141,18 @@ def test_evaluate_huge_argument_no_nan():
     assert not is_inf(w) and abs(w) <= 1e-150
 
 
+@pytest.mark.parametrize(
+    "z, exact", [(1e151 + 0j, 1e302 + 0j), (1e151 + 1e151j, 2e302j)], ids=["real", "diagonal"]
+)
+def test_evaluate_in_log_polar_form(z, exact):
+    # 2 log10|z| > 300, so z^2 goes through exp(2 log|z|) and the phase: a
+    # finite value, but exp(log(.)) costs bits, 9.999999999999573e+301 for
+    # 1e302 (4.3e-14 relative) and 1.6e-14 relative on the diagonal
+    w = evaluate(square(), z)
+    assert not is_inf(w)
+    assert abs(w - exact) <= 1e-12 * abs(exact)
+
+
 def test_evaluate_where_the_modulus_overflows_a_double():
     # both parts are finite but |z| is past the largest double, so abs(z)
     # raises OverflowError
@@ -1050,6 +1062,34 @@ def test_walk_steps_are_preimages(monkeypatch, maps, start, reaches):
     walk, steps, calls = walk_and_steps(monkeypatch, maps, start, symbols)
     assert_same_reprs(walk, steps)
     assert reaches(steps, calls)
+
+
+@pytest.mark.parametrize(
+    "roots, cardano_refuses",
+    [
+        # z^3 at 0: A = 0, so Cardano refuses the start
+        ([0, 0, 0], True),
+        # Cardano's start loses the root 1e-8 to cancellation and fails the
+        # sweep-0 stop test
+        ([1e-8, 1e4, -2e4 + 1j], False),
+    ],
+    ids=["z^3 (A = 0)", "roots 1e-8, 1e4, -2e4+i"],
+)
+def test_walk_hands_a_refused_cubic_start_to_preimages(monkeypatch, roots, cardano_refuses):
+    # the walker's two cubic fallbacks: _cubic_roots gives None, and the
+    # step is the generic loop's, through preimages
+    import semijulia.ratmap as ratmap
+
+    f = rational_map(np.polynomial.polynomial.polyfromroots(roots).tolist())
+    assert ratmap._walk_step(f)[0] == 3  # the folded cubic step
+    _, n1, n2, n3 = f.numerator.coeffs
+    consts = ratmap._cubic_consts(n1, n2, n3)
+    c0 = f.numerator.coeffs[0]
+    assert (ratmap._cardano(c0 / n3, *consts[4:8]) is None) == cardano_refuses
+    assert ratmap._cubic_roots(c0, consts) is None
+    walk, steps, calls = walk_and_steps(monkeypatch, [f], 0j, [0, 1, 2])
+    assert_same_reprs(walk, steps)
+    assert calls[0] == 0j
 
 
 @pytest.mark.parametrize("num, den, z", QUADRATIC_EDGE_ROWS)
