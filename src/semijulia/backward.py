@@ -126,16 +126,21 @@ def expand_level(
     :func:`preimages_batch`; both decide each point alone, so a point's
     preimages do not depend on the other points of its level."""
     gens = sg.generators
-    if all(g.denominator.degree == 0 and g.degree == 2 for g in gens):
-        kids, done = quadratic_level(gens, zs)
-        rest = ~done | at_inf
-    else:
-        kids, rest = np.empty((sg.total_degree, zs.size), dtype=complex), np.ones(zs.shape, dtype=bool)
+    if not all(g.denominator.degree == 0 and g.degree == 2 for g in gens):
+        return _batch_level(gens, zs, at_inf)
+    kids, done = quadratic_level(gens, zs)
     kids_inf = np.zeros(kids.shape, dtype=bool)
+    rest = ~done | at_inf
     if rest.any():
-        fibres = [preimages_batch(g, zs[rest], at_inf[rest]) for g in gens]
-        kids[:, rest], kids_inf[:, rest] = (np.hstack(parts).T for parts in zip(*fibres))
+        kids[:, rest], kids_inf[:, rest] = _batch_level(gens, zs[rest], at_inf[rest])
     return kids, kids_inf
+
+
+def _batch_level(gens, zs: np.ndarray, at_inf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`preimages_batch` of every point under each generator, as
+    branch-major ``(kids, kids_inf)``."""
+    fibres = [preimages_batch(g, zs, at_inf) for g in gens]
+    return tuple(np.hstack(parts).T for parts in zip(*fibres))
 
 
 # A subtree: its root points as ``(zs, at_inf, masses)`` and the number of
