@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -249,6 +250,11 @@ def full_backward_tree(
 # random backward chain
 
 
+# Symbols per call of the chain walker: a walk is held as Python objects only
+# one piece at a time, then copied into the orbit's arrays.
+_WALK_PIECE = 2**16
+
+
 def random_backward_orbit(
     sg: Semigroup,
     start: SpherePoint,
@@ -268,8 +274,18 @@ def random_backward_orbit(
         raise ValueError("orbit length must be >= 1")
     dist = build_index_distribution(sg)
     symbols = sample_branch_block(dist, make_rng(seed), n).tolist()
-    pts = preimage_walk(sg.generators, dist.decode, symbols, start)
-    return BackwardOrbit(start, symbols, *to_arrays(pts), seed)
+    zs = np.empty(n, dtype=complex)
+    at_inf = np.empty(n, dtype=bool)
+    z = start
+    steps = iter(symbols)
+    for s in range(0, n, _WALK_PIECE):
+        pts = preimage_walk(sg.generators, dist.decode, islice(steps, _WALK_PIECE), z)
+        zs[s : s + len(pts)], at_inf[s : s + len(pts)] = to_arrays(pts)
+        # the next piece goes on from the last point itself, INF included;
+        # this piece's objects go before the next piece's are made
+        z = pts[-1]
+        del pts
+    return BackwardOrbit(start, symbols, zs, at_inf, seed)
 
 
 def empirical_measure(orbit: BackwardOrbit, burn_in: int) -> WeightedPointCloud:

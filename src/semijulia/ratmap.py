@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 from itertools import zip_longest
 from operator import attrgetter
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -50,12 +50,16 @@ _RESCALE_ABOVE = 2.0**_RESCALE_EXP
 _RESCALE_BELOW = 2.0**-_RESCALE_EXP
 
 # Rows per block of :func:`preimages_batch`.  The degree >= 3 root solver
-# keeps a few dozen (rows, d) temporaries alive, so the block bounds its
-# peak memory: on one CPU, 2**16 rows of z^3+0.3 in one block took a
-# tracemalloc peak of 58 MB against 19 MB in blocks of 2**14, in no less
-# time, and a depth-8 tree of z^3+0.3 and (z^2+0.5)/(1.5z) took the
-# process's peak RSS from 66 to 98 MB.
-_BATCH_ROWS = 2**14
+# keeps a few dozen (rows, d) temporaries alive, about 900 bytes a row for
+# z^3+0.3, so the block bounds its peak memory.  Each row is computed on its
+# own, so the block size moves no bit.  On 2**14 chain points of z^3+0.3,
+# blocks of 2**14, 2**13, 2**12, 2**11 and 2**10 rows took tracemalloc peaks
+# of 14.4, 8.3, 4.6, 2.8 and 1.9 MB; on 79,600 chain points, z^3+0.3 and
+# (z^2+0.5)/(1.5z) together took 3.52, 3.49, 3.43, 3.72 and 4.48 us a point
+# (median of 5; 2-core Xeon, L2 2 MiB a core).  2**12 is the knee: no
+# slower than larger blocks, where smaller ones pay per-block overhead.
+# Against 2**14 it takes a cubic-rational job's peak RSS from 60.1 to 50.0 MB.
+_BATCH_ROWS = 2**12
 
 
 class SolverDivergence(RuntimeError):
@@ -422,15 +426,21 @@ def evaluate(f: RationalMap, z: SpherePoint) -> SpherePoint:
     elif diff > 0:
         if val == 0:
             return 0j
-        if diff * math.log10(az) > 300.0:
-            # z**diff would overflow on its own; go through log-polar form
+        if az == math.inf:
+            return INF
+        try:
+            w = z**diff * val
+            direct = math.isfinite(w.real) and math.isfinite(w.imag)
+        except OverflowError:
+            direct = False
+        if not direct:
+            # z**diff or its product with val overflowed; go through log-polar
+            # form, which costs bits, so only here
             m = diff * math.log(az) + math.log(abs(val))
             if m > 709.0:
                 return INF
             theta = diff * cmath.phase(z) + cmath.phase(val)
             w = cmath.rect(math.exp(m), theta)
-        else:
-            w = z**diff * val
     else:
         w = u ** (-diff) * val
     if math.isfinite(w.real) and math.isfinite(w.imag):
@@ -543,7 +553,7 @@ def _walk_step(f: RationalMap) -> tuple[int, tuple | None]:
 def preimage_walk(
     maps: Sequence[RationalMap],
     decode: Sequence[tuple[int, int]],
-    symbols: Sequence[int],
+    symbols: Iterable[int],
     start: SpherePoint,
 ) -> list[SpherePoint]:
     """The backward chain from ``start``: point k is ``preimages(maps[j], z)[r]``

@@ -1,5 +1,7 @@
 import hashlib
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -598,6 +600,42 @@ def test_chain_bits_are_pinned():
         h = hashlib.sha1(cloud.zs.tobytes())
         h.update(cloud.at_inf.tobytes())
         assert h.hexdigest() == digest
+
+
+@pytest.mark.parametrize("piece", [1, 2, 3, 7])
+def test_orbit_in_pieces_is_one_walk(monkeypatch, piece):
+    # each piece of the walk goes on from the last point of the one before,
+    # the point at infinity included, so the pieces make one walk bit for bit
+    import semijulia.backward as backward
+
+    # (z^2+1)/(z^2+2) sends infinity to 1, and z^2 keeps infinity: from 1
+    # this chain stays at infinity for 6 steps, then leaves it
+    sg = Semigroup((rational_map([0, 0, 1]), rational_map([1, 0, 1], [2, 0, 1])))
+    whole = random_backward_orbit(sg, 1, 40, seed=23, check_start=False)
+    monkeypatch.setattr(backward, "_WALK_PIECE", piece)
+    pieces = random_backward_orbit(sg, 1, 40, seed=23, check_start=False)
+    assert whole.at_inf.tolist() == [True] * 6 + [False] * 34
+    assert pieces.symbols == whole.symbols
+    assert repr(sphere_points(pieces)) == repr(sphere_points(whole))
+
+
+def test_orbit_peak_memory_is_bounded_by_the_piece():
+    # tracemalloc counts the walk's Python objects and numpy's arrays.  The
+    # walk holds one piece of its points as Python objects at a time, so a
+    # 2^18-step orbit peaks at its own arrays and symbols plus 3.8 MB; the
+    # whole walk held as one list took 11 MB over them
+    sg = annulus_sg()
+    random_backward_orbit(sg, 1.5 + 0.5j, 100, seed=1)  # fill the caches first
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        orbit = random_backward_orbit(sg, 1.5 + 0.5j, 2**18, seed=1, check_start=False)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    out = orbit.zs.nbytes + orbit.at_inf.nbytes + sys.getsizeof(orbit.symbols)
+    assert peak <= out + 4 * 2**20, (peak, out)
 
 
 def test_orbit_requires_positive_length():

@@ -401,6 +401,7 @@ def test_transfer_operator_two_generators():
 
 
 def cubic_rational_sg():
+    # z^3 + 0.3 and (z^2 + 0.5)/(1.5z): branch masses 1/6 and 1/4, not dyadic
     return Semigroup(
         (rational_map([0.3, 0, 0, 1]), rational_map([0.5, 0, 1], [0, 1.5])),
         ProbabilityVector([0.5, 0.5]),
@@ -714,14 +715,6 @@ def test_full_tree_grid_scalar_generators():
         assert streamed.outside_mass == pytest.approx(direct.outside_mass, abs=1e-12)
 
 
-def cubic_rational_sg():
-    # z^3 + 0.3 and (z^2 + 0.5)/(1.5z): branch masses 1/6 and 1/4, not dyadic
-    return Semigroup(
-        (rational_map([0.3, 0, 0, 1]), rational_map([0.5, 0, 1], [0, 1.5])),
-        ProbabilityVector([0.5, 0.5]),
-    )
-
-
 def test_full_tree_grid_split_across_workers_keeps_dyadic_cells(cpus):
     # chunk 64 cuts the 4^6-atom tree into 4 subtrees of 4^5 atoms; binned
     # in turn or in workers, they add up to the one-block grid's bytes
@@ -845,6 +838,14 @@ def test_peak_memory_is_bounded_by_the_block(log2_atoms):
                 square_sg(), c, [("re", sphere_re)], make_rng(1), max_atoms=2**14
             ),
         )
+        # the cubic's and the rational map's fibres go to the batch root
+        # solver, whose temporaries its row blocks bound
+        peak(
+            "check_invariance, cubic-rational",
+            lambda: check_invariance(
+                cubic_rational_sg(), c, [("re", sphere_re)], make_rng(1), max_atoms=2**14
+            ),
+        )
         text = peak("grid_to_text", lambda: grid_to_text(g))
         peak("render_density", lambda: render_density(g, ImageSpec(vp)))
     finally:
@@ -852,6 +853,7 @@ def test_peak_memory_is_bounded_by_the_block(log2_atoms):
     bounds = {
         "bin_cloud": 8 * cells + 4 * block,  # the grid
         "check_invariance": 6 * block,
+        "check_invariance, cubic-rational": 12 * block,
         "grid_to_text": 2 * len(text) + 2 * block,  # its lines, then the text
         "render_density": 3 * 3 * cells + 8 * block,  # pixels, their bytes, the PPM
     }

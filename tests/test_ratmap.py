@@ -1,6 +1,7 @@
 import cmath
 import hashlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -142,15 +143,26 @@ def test_evaluate_huge_argument_no_nan():
 
 
 @pytest.mark.parametrize(
-    "z, exact", [(1e151 + 0j, 1e302 + 0j), (1e151 + 1e151j, 2e302j)], ids=["real", "diagonal"]
+    "f, z, exact",
+    [
+        (square(), 1e151 + 0j, None),
+        (square(), 1e151 + 1e151j, None),
+        (square(), 1e154 + 0j, None),
+        (rational_map([0, 0, 0, 1e-100]), 1e120 + 0j, 1e260 + 0j),
+    ],
+    ids=["real", "diagonal", "near-overflow", "overflowing-power"],
 )
-def test_evaluate_in_log_polar_form(z, exact):
-    # 2 log10|z| > 300, so z^2 goes through exp(2 log|z|) and the phase: a
-    # finite value, but exp(log(.)) costs bits, 9.999999999999573e+301 for
-    # 1e302 (4.3e-14 relative) and 1.6e-14 relative on the diagonal
-    w = evaluate(square(), z)
+def test_evaluate_in_log_polar_form(f, z, exact):
+    # only where z**diff * val overflows does evaluate go through exp(diff
+    # log|z|) and the phase, which costs bits (z^2 at 1e151 would read
+    # 9.999999999999573e+301); a finite product, however large, is z*z bit for
+    # bit.  z^3 at 1e120 overflows, so 1e-100 z^3 takes the log-polar form
+    w = evaluate(f, z)
     assert not is_inf(w)
-    assert abs(w - exact) <= 1e-12 * abs(exact)
+    if exact is None:
+        assert repr(w) == repr(z * z)
+    else:
+        assert abs(w - exact) <= 1e-12 * abs(exact)
 
 
 def test_evaluate_where_the_modulus_overflows_a_double():
@@ -343,13 +355,22 @@ def assert_same_multiset(a, b, tol):
 points = st.one_of(coeff.map(lambda z: 3 * z), st.just(INF))
 
 
-@given(random_maps(), st.lists(points, min_size=1, max_size=6))
+@given(random_maps(), st.lists(points, min_size=1, max_size=6), st.integers(1, 7))
 # numpy's complex sqrt is one ulp off cmath.sqrt at these discriminants
-@example(square(), [1j, -1j, -4j])
+@example(square(), [1j, -1j, -4j], 7)
 # b*b - 4ac underflows to 0 unless the fibre polynomial is scaled up
-@example(rational_map([1e-200, 0, 1e-200]), [0j, 1e-200 + 0j, INF])
-def test_batch_rows_match_scalar_preimages(f, zs):
-    for z, row in zip(zs, batch_rows(f, zs)):
+@example(rational_map([1e-200, 0, 1e-200]), [0j, 1e-200 + 0j, INF], 7)
+# a common row, a degree drop, infinity, a zero constant and a rescaled row,
+# each block of two finite rows mixing kinds
+@example(rational_map([1, 0, 1], [2, 0, 1]), [0.3 + 0.1j, 1 + 0j, INF, 0.5 + 0j, 1e200 + 0j], 2)
+def test_batch_rows_match_scalar_preimages(f, zs, block):
+    # the rows go through in blocks of 1 to 7, so the exceptional rows fall on
+    # either side of a block edge
+    import semijulia.ratmap as ratmap
+
+    with mock.patch.object(ratmap, "_BATCH_ROWS", block):
+        rows = batch_rows(f, zs)
+    for z, row in zip(zs, rows):
         assert len(row) == f.degree
         assert repr(row) == repr(preimages(f, z))
         for w in row:
